@@ -54,7 +54,7 @@ j = int(np.flatnonzero(s)[0])
 print(f"extended secret: ext[j] = -s_j, ext[256+j] = s_j "
       f"(check at j={j}: {int(ext[j])} + {int(ext[256 + j])} = 0)")
 
-# ... and accumulate tau byte windows with wrapping packed lanes
+# ... and gather the tau byte windows, summing them in wrapping int8
 prod8 = sparse_mul_branchless(index, ext, p.tau)
 lifted = prod8.astype(np.int64) % p.q
 print("branchless byte product equals oracle:", np.array_equal(ground_truth, lifted))

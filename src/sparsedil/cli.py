@@ -327,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     bn.add_argument("--level", type=int, choices=LEVELS, required=True)
     bn.add_argument("--backend", action="append", choices=_BACKEND_CHOICES,
                     help="repeatable; default is all backends")
-    bn.add_argument("--iterations", type=int, default=10000)
+    bn.add_argument("--iterations", type=int, default=50,
+                    help="timed runs per procedure and backend (default: %(default)s)")
     bn.add_argument("--format", choices=("text", "csv"), default="text")
     bn.set_defaults(fn=cmd_bench)
 

@@ -5,13 +5,17 @@ structure; the backends differ only in how c*s1 and c*s2 are produced and
 when the two norm checks run:
 
   ntt           c*s1, c*s2 through the NTT; z check first, then r0
-  sparse        branchless byte-lane products on the predecoded extended
-                secrets; same check order as ntt
-  sparse_fused  r0 check fused into the c*s2 accumulation and run FIRST,
-                then the z check fused into c*s1 (restarts are cheaper when
-                the more selective check leads)
+  sparse        one gather of the tau challenge windows per product on the
+                predecoded extended secrets, summed in wrapping bytes; same
+                check order as ntt
+  sparse_fused  the same gather, one polynomial at a time, with the check
+                on each polynomial right after its product: r0 over c*s2
+                runs FIRST and stops at the first failing polynomial, then
+                z over c*s1 (restarts are cheaper when the more selective
+                check leads)
 
 c*t0 always goes through the NTT: t0 coefficients do not fit signed bytes.
+The byte-lane backends transform c only once z and r0 have accepted.
 All three backends produce byte-identical signatures whenever the byte-lane
 products are exact, which is unconditional for levels 2 and 5 and holds up
 to a ~1.7e-11 per-signature wrap probability for level 3.
@@ -106,7 +110,8 @@ def sign(params: ParameterSet, sk: bytes, message: bytes,
     # per-call precomputation; restarts reuse all of it untouched
     t0_hat = ntt_values(dec.t0)
     s1_hat = s2_hat = None
-    if backend is Backend.NTT or debug_wrap_check:
+    ntt_products = backend is Backend.NTT or debug_wrap_check
+    if ntt_products:
         s1_hat = ntt_values(dec.s1_ext[:, N:])
         s2_hat = ntt_values(dec.s2_ext[:, N:])
 
@@ -120,11 +125,14 @@ def sign(params: ParameterSet, sk: bytes, message: bytes,
         w1 = decompose(w, alpha)[0]
         c_tilde = shake256(mu + codec.pack_w1(w1, params), 32)
         c = sample_in_ball(c_tilde, params.tau)
-        c_hat = ntt_values(c)
+        # byte-lane backends need ntt(c) only for c*t0, after z and r0 accept
+        c_hat = ntt_values(c) if ntt_products else None
 
         ok, z, cs2 = _attempt(params, backend, dec, y, w, c, c_hat,
                               s1_hat, s2_hat, checks, trace, debug_wrap_check)
         if ok:
+            if c_hat is None:
+                c_hat = ntt_values(c)
             # c*t0 stays on the NTT path (t0 exceeds the 8-bit range)
             ct0 = center(intt_values(c_hat[None, :] * t0_hat % Q))
             instrumentation.add_modmul(t0_hat.size)

@@ -8,16 +8,23 @@ extended layout (-s_0..-s_255, s_0..s_255) so that for every challenge
 index k the contribution to all 256 output coefficients is the contiguous
 byte window ext[256-k .. 511-k], negacyclic signs included.
 
-The production kernel accumulates those windows with packed-lane (SWAR)
-adds and subs on 32-bit words of four wrapping signed bytes; its loop trip
-counts depend only on (poscnt, tau), both public. For levels where
-tau*eta <= 127 the 8-bit result is exact; otherwise wrapping is a
-documented, probability-bounded event.
+The production kernel gathers all tau windows of a row in one
+fancy-index read of a strided window view, (tau, 256) bytes, and sums the
++1 windows and the -1 windows in wrapping int8. Its shapes depend only on
+(poscnt, tau), both public. Wrapping addition is associative, so the bytes
+equal those of the paper's packed-lane (SWAR) accumulation on 32-bit words
+of four signed bytes; `packed_add_lanes`/`packed_sub_lanes` reproduce that
+arithmetic and are the kernel's test oracle. The fused kernels run the z
+or r0 check polynomial by polynomial, right after each row's gather, and
+stop at the first row that fails. For levels where tau*eta <= 127 the
+8-bit result is exact; otherwise wrapping is a documented,
+probability-bounded event.
 """
 
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from . import instrumentation
 from .params import N, Q
@@ -26,8 +33,7 @@ from .ring import Domain, Poly
 _LANE_LOW = 0x7F7F7F7F
 _LANE_TOP = 0x80808080
 
-_BLOCK = 16                       # coefficients per fused-check block
-_ARANGE_N = np.arange(N)
+_BLOCKS_PER_POLY = N // 16        # fused kernels count work in 16-coefficient blocks
 
 
 def packed_add_lanes(x, y):
@@ -112,57 +118,60 @@ def sparse_mul_indexed(c, a) -> Poly:
     return Poly((w[:N] - w[N:]) % Q, Domain.STANDARD)
 
 
-def _window_words(ext_rows: np.ndarray, pos: int) -> np.ndarray:
-    """Byte windows ext[256-pos .. 511-pos] of each row as packed 32-bit words.
+def _window_view(ext_rows: np.ndarray) -> np.ndarray:
+    """Read-only (..., 257, 256) view of every window of the extended secrets.
 
-    Window starts are byte offsets, so the loads are generally unaligned;
-    the bytes are assembled into a fresh aligned word array of shape
-    (rows, 64).
+    Entry [..., 256-k, :] is ext[256-k .. 511-k], the window of challenge
+    index k; no bytes are copied.
     """
-    rows = ext_rows.shape[0]
-    win = ext_rows[:, 256 - pos: 512 - pos]
-    return np.frombuffer(np.ascontiguousarray(win).tobytes(), dtype=np.uint32).reshape(rows, N // 4)
+    ext_rows = np.asarray(ext_rows)
+    if ext_rows.dtype != np.int8 or ext_rows.shape[-1:] != (2 * N,):
+        raise ValueError("extended secrets must be rows of 512 signed bytes")
+    step = ext_rows.strides[-1]
+    return as_strided(ext_rows, ext_rows.shape[:-1] + (N + 1, N),
+                      ext_rows.strides[:-1] + (step, step), writeable=False)
 
 
-def sparse_mul_branchless_vec(index, ext_rows: np.ndarray, tau: int,
-                              lane_batch: int = 4) -> np.ndarray:
+def _window_starts(index) -> tuple[int, np.ndarray]:
+    """(poscnt, window starts 256-k for every challenge index k in slot order)."""
+    index = np.asarray(index, dtype=np.uint8)
+    return int(index[0]), N - index[1:].astype(np.intp)
+
+
+def _gather_product(windows: np.ndarray, starts: np.ndarray, poscnt: int) -> np.ndarray:
+    """Wrapping 8-bit c*s from one gather of all tau windows.
+
+    Wrapping addition is associative, so summing the +1 and -1 windows
+    separately in int8 gives the same bytes as accumulating them one by one
+    in packed lanes.
+    """
+    win = windows[..., starts, :]
+    return (win[..., :poscnt, :].sum(axis=-2, dtype=np.int8)
+            - win[..., poscnt:, :].sum(axis=-2, dtype=np.int8))
+
+
+def sparse_mul_branchless_vec(index, ext_rows: np.ndarray, tau: int) -> np.ndarray:
     """Branchless c*s for a whole vector of extended secrets at once.
 
     `ext_rows` has shape (m, 512); one shared challenge index list drives
-    all rows. Trip counts depend solely on (poscnt, tau); secrets are
-    touched only through public window offsets. `lane_batch` selects how
-    many byte lanes one accumulation step covers (4 = one 32-bit word,
-    16 = four words); both batchings produce identical bytes.
+    all rows. The gather and both sums have shapes fixed by (poscnt, tau);
+    secrets are touched only through public window offsets.
     """
-    index = np.asarray(index, dtype=np.uint8)
-    if index.shape != (tau + 1,):
+    if np.shape(index) != (tau + 1,):
         raise ValueError(f"index list must have {tau + 1} entries")
-    if lane_batch not in (4, 16):
-        raise ValueError("lane_batch must be 4 or 16")
-    ext_rows = np.asarray(ext_rows)
-    if ext_rows.dtype != np.int8 or ext_rows.ndim != 2 or ext_rows.shape[1] != 2 * N:
+    poscnt, starts = _window_starts(index)
+    windows = _window_view(ext_rows)
+    if windows.ndim != 3:
         raise ValueError("extended secrets must be rows of 512 signed bytes")
-    m = ext_rows.shape[0]
-    steps_per_index = N // lane_batch
-    words_per_step = lane_batch // 4
-    poscnt = int(index[0])
-    acc = np.zeros((m, steps_per_index, words_per_step), dtype=np.uint32)
-    for t in range(1, poscnt + 1):
-        win = _window_words(ext_rows, int(index[t]))
-        acc = packed_add_lanes(acc, win.reshape(m, steps_per_index, words_per_step))
-        instrumentation.add_swar_steps(m * steps_per_index)
-    for t in range(poscnt + 1, tau + 1):
-        win = _window_words(ext_rows, int(index[t]))
-        acc = packed_sub_lanes(acc, win.reshape(m, steps_per_index, words_per_step))
-        instrumentation.add_swar_steps(m * steps_per_index)
-    return acc.reshape(m, N // 4).view(np.int8)
+    instrumentation.add_swar_steps(windows.shape[0] * tau * (N // 4))
+    return _gather_product(windows, starts, poscnt)
 
 
-def sparse_mul_branchless(index, ext, tau: int, lane_batch: int = 4) -> np.ndarray:
+def sparse_mul_branchless(index, ext, tau: int) -> np.ndarray:
     """Accumulate c*s in wrapping signed bytes, driven only by the index list."""
     if getattr(ext, "ndim", 1) != 1:
         raise ValueError("expected a single 512-byte extended secret")
-    return sparse_mul_branchless_vec(index, ext[None, :], tau, lane_batch)[0]
+    return sparse_mul_branchless_vec(index, ext[None, :], tau)[0]
 
 
 class FusedZ(NamedTuple):
@@ -177,80 +186,46 @@ class FusedR0(NamedTuple):
     blocks: int
 
 
-def _stage_windows(ext: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """Gather the tau challenge windows of one extended secret as (tau, 256).
-
-    Row t is ext[256-k_t .. 511-k_t]; staging the input bytes up front
-    keeps the per-block work to the wrapping accumulation itself.
-    """
-    offs = 256 - positions
-    return ext[offs[:, None] + _ARANGE_N]
-
-
-def _block_product(windows: np.ndarray, poscnt: int, b: int) -> np.ndarray:
-    """Wrapping 8-bit c*s for one 16-coefficient block.
-
-    Wrapping addition is associative, so summing the positive and negative
-    windows separately in int8 matches the sequential packed-lane kernel
-    byte for byte.
-    """
-    win = windows[:, _BLOCK * b: _BLOCK * (b + 1)]
-    return (win[:poscnt].sum(axis=0, dtype=np.int8)
-            - win[poscnt:].sum(axis=0, dtype=np.int8))
-
-
 def fused_z(index, ext_s1: np.ndarray, y: np.ndarray, bound: int) -> FusedZ:
     """z = y + c*s1 with the norm check fused into the accumulation.
 
-    Proceeds polynomial by polynomial and, inside each, block by block;
-    the first block holding a coefficient with |z_i| >= bound aborts the
-    whole computation. On acceptance z equals the unfused computation
-    exactly.
+    Proceeds polynomial by polynomial: one gather per row, then the check
+    on its 256 coefficients. The first row holding a coefficient with
+    |z_i| >= bound aborts the whole computation. On acceptance z equals the
+    unfused computation exactly.
     """
-    index = np.asarray(index, dtype=np.uint8)
-    poscnt = int(index[0])
-    positions = index[1:].astype(np.int64)
+    poscnt, starts = _window_starts(index)
+    windows = _window_view(ext_s1)
     y = np.asarray(getattr(y, "coeffs", y), dtype=np.int64)
-    m = y.shape[0]
     z = np.zeros_like(y)
-    blocks = 0
-    for i in range(m):
-        windows = _stage_windows(ext_s1[i], positions)
-        for b in range(N // _BLOCK):
-            zb = y[i, _BLOCK * b: _BLOCK * (b + 1)] + _block_product(windows, poscnt, b)
-            blocks += 1
-            if np.any(np.abs(zb) >= bound):
-                return FusedZ(z, True, blocks)
-            z[i, _BLOCK * b: _BLOCK * (b + 1)] = zb
-    return FusedZ(z, False, blocks)
+    for i in range(y.shape[0]):
+        zi = y[i] + _gather_product(windows[i], starts, poscnt)
+        if np.abs(zi).max() >= bound:
+            return FusedZ(z, True, (i + 1) * _BLOCKS_PER_POLY)
+        z[i] = zi
+    return FusedZ(z, False, y.shape[0] * _BLOCKS_PER_POLY)
 
 
 def fused_r0(index, ext_s2: np.ndarray, w: np.ndarray, gamma2: int, bound: int) -> FusedR0:
     """Low-bits check of w - c*s2 fused into the accumulation of c*s2.
 
-    Rejects at the first block where |LowBits(w - c*s2, 2*gamma2)| >= bound;
-    on acceptance the full c*s2 is returned for the later hint computation.
+    Polynomial by polynomial, like `fused_z`: rejects at the first row where
+    |LowBits(w - c*s2, 2*gamma2)| >= bound; on acceptance the full c*s2 is
+    returned for the later hint computation.
     """
-    index = np.asarray(index, dtype=np.uint8)
-    poscnt = int(index[0])
-    positions = index[1:].astype(np.int64)
+    poscnt, starts = _window_starts(index)
+    windows = _window_view(ext_s2)
     w = np.asarray(getattr(w, "coeffs", w), dtype=np.int64)
-    m = w.shape[0]
     cs2 = np.zeros_like(w)
     alpha = 2 * gamma2
-    half = alpha // 2
-    blocks = 0
-    for i in range(m):
-        windows = _stage_windows(ext_s2[i], positions)
-        for b in range(N // _BLOCK):
-            prod = _block_product(windows, poscnt, b).astype(np.int64)
-            r = (w[i, _BLOCK * b: _BLOCK * (b + 1)] - prod) % Q
-            # inline LowBits(r, alpha): centered remainder plus the q-1 fold
-            r0 = r % alpha
-            r0 = np.where(r0 > half, r0 - alpha, r0)
-            r0 = np.where((r - r0) == Q - 1, r0 - 1, r0)
-            blocks += 1
-            if np.any(np.abs(r0) >= bound):
-                return FusedR0(False, cs2, blocks)
-            cs2[i, _BLOCK * b: _BLOCK * (b + 1)] = prod
-    return FusedR0(True, cs2, blocks)
+    for i in range(w.shape[0]):
+        prod = _gather_product(windows[i], starts, poscnt)
+        r = (w[i] - prod) % Q
+        # inline LowBits(r, alpha): centered remainder plus the q-1 fold
+        r0 = r % alpha
+        r0 = np.where(r0 > gamma2, r0 - alpha, r0)
+        r0 = np.where((r - r0) == Q - 1, r0 - 1, r0)
+        if np.abs(r0).max() >= bound:
+            return FusedR0(False, cs2, (i + 1) * _BLOCKS_PER_POLY)
+        cs2[i] = prod
+    return FusedR0(True, cs2, w.shape[0] * _BLOCKS_PER_POLY)

@@ -167,8 +167,8 @@ def test_selftest_passes(capsys):
 def test_selftest_names_broken_oracle(monkeypatch, capsys):
     real = sparse.sparse_mul_branchless
 
-    def corrupted(index, ext, tau, lane_batch=4):
-        out = real(index, ext, tau, lane_batch).copy()
+    def corrupted(index, ext, tau):
+        out = real(index, ext, tau).copy()
         out[0] += 1
         return out
 

@@ -144,6 +144,29 @@ def test_decode_once_per_sign_despite_restarts(keypairs, params):
     assert len(tr.iterations) == tr.restarts + 1
 
 
+def test_sparse_fused_transforms_challenge_once(keypairs, monkeypatch):
+    # ntt(c) is needed only for c*t0, so attempts rejected by z or r0 skip it
+    p = param_set(2)
+    _, sk = keypairs[2]
+    challenge_ntts = []
+    real = scheme.ntt_values
+
+    def counting_ntt(a):
+        if np.ndim(a) == 1:
+            challenge_ntts.append(a)
+        return real(a)
+
+    monkeypatch.setattr(scheme, "ntt_values", counting_ntt)
+    restarted = False
+    for i in range(8):
+        challenge_ntts.clear()
+        tr = SignTrace()
+        scheme.sign(p, sk, b"lazy ntt %d" % i, backend=Backend.SPARSE_FUSED, trace=tr)
+        assert len(challenge_ntts) == sum("ct0" in checks for checks in tr.iterations)
+        restarted |= tr.restarts > 0 and len(challenge_ntts) == 1
+    assert restarted
+
+
 def test_accepted_iteration_bounds(keypairs, params):
     pk, sk = keypairs[params.level]
     _, _, tr = _sign_with_restarts(params, sk, Backend.NTT)

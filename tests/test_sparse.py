@@ -193,18 +193,6 @@ def test_branchless_matches_indexed():
                 assert np.all((diff == 0) | (diff % 256 == 0))
 
 
-def test_branchless_lane_batches_agree():
-    rng = np.random.default_rng(7)
-    p = param_set(5)
-    c = random_challenge(rng, p.tau)
-    s = random_secret(rng, p.eta)
-    idx = sparse.encode_challenge(c, p.tau)
-    ext = sparse.extend_secret(s, p.eta)
-    a = sparse.sparse_mul_branchless(idx, ext, p.tau, lane_batch=4)
-    b = sparse.sparse_mul_branchless(idx, ext, p.tau, lane_batch=16)
-    assert np.array_equal(a, b)
-
-
 def test_branchless_every_window_offset():
     # exercises every unaligned window start, including 0 and 255
     rng = np.random.default_rng(8)
@@ -234,9 +222,6 @@ def test_branchless_step_count_is_sign_independent():
             sparse.sparse_mul_branchless(idx, ext, p.tau)
         counts[name] = cn.swar_steps
     assert counts["all_plus"] == counts["all_minus"] == counts["mixed"] == p.tau * (N // 4)
-    with instrumentation.counting() as cn:
-        sparse.sparse_mul_branchless(idx, ext, p.tau, lane_batch=16)
-    assert cn.swar_steps == p.tau * (N // 16)
 
 
 def test_level3_wrap_is_byte_exact():
@@ -255,6 +240,45 @@ def test_level3_wrap_is_byte_exact():
     assert np.all(got[centered == 196] == -60)
     fits = np.abs(centered) <= 127
     assert np.array_equal(got[fits], centered[fits])
+
+
+def swar_product(index, ext_rows, tau):
+    """The paper's kernel: accumulate each window in packed 4-lane words."""
+    poscnt = int(index[0])
+    acc = np.zeros((ext_rows.shape[0], N // 4), dtype=np.uint32)
+    for t in range(1, tau + 1):
+        k = int(index[t])
+        win = np.ascontiguousarray(ext_rows[:, 256 - k: 512 - k]).view(np.uint32)
+        lane_op = sparse.packed_add_lanes if t <= poscnt else sparse.packed_sub_lanes
+        acc = lane_op(acc, win)
+    return acc.view(np.int8)
+
+
+def test_gather_kernel_matches_swar_lanes():
+    rng = np.random.default_rng(16)
+    for lv in LEVELS:
+        p = param_set(lv)
+        for _ in range(100):
+            c = random_challenge(rng, p.tau)
+            idx = sparse.encode_challenge(c, p.tau)
+            exts = np.stack([sparse.extend_secret(random_secret(rng, p.eta), p.eta)
+                             for _ in range(p.k)])
+            got = sparse.sparse_mul_branchless_vec(idx, exts, p.tau)
+            assert got.dtype == np.int8
+            assert np.array_equal(got, swar_product(idx, exts, p.tau))
+
+
+def test_gather_kernel_matches_swar_lanes_on_level3_wrap():
+    p = param_set(3)
+    c = np.zeros(N, dtype=np.int8)
+    c[:p.tau] = 1
+    idx = sparse.encode_challenge(c, p.tau)
+    exts = np.stack([sparse.extend_secret(np.full(N, v, dtype=np.int8), p.eta)
+                     for v in (4, -4, 3)])
+    got = sparse.sparse_mul_branchless_vec(idx, exts, p.tau)
+    want = swar_product(idx, exts, p.tau)
+    assert np.array_equal(got, want)
+    assert np.any(want[0] == -60)            # a true 196 held as 196 - 256
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +345,7 @@ def test_fused_r0_constructed_boundary():
     w[0, 0] = p.gamma2 - p.beta          # LowBits == gamma2 - beta exactly
     res = sparse.fused_r0(idx, exts, w, p.gamma2, p.gamma2 - p.beta)
     assert not res.ok
-    assert res.blocks == 1
+    assert res.blocks == N // 16        # stopped after the first of k polynomials
 
 
 def test_fused_paths_match_unfused_reference():
@@ -357,6 +381,6 @@ def test_fused_early_exit_saves_blocks():
     idx = sparse.encode_challenge(c, p.tau)
     exts = np.zeros((p.l, 2 * N), dtype=np.int8)
     y = np.zeros((p.l, N), dtype=np.int64)
-    y[0, 0] = p.gamma1 - p.beta           # first block of first poly fails
+    y[0, 0] = p.gamma1 - p.beta           # first poly fails
     res = sparse.fused_z(idx, exts, y, p.gamma1 - p.beta)
-    assert res.rejected and res.blocks == 1
+    assert res.rejected and res.blocks == N // 16
