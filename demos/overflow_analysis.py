@@ -1,16 +1,17 @@
-"""Why signed bytes are safe for levels 2/5 and almost-safe for level 3.
+"""Why signed bytes are safe for levels 2/5 and level 3 signs on 16-bit lanes.
 
 One coefficient of c*s is a sum of tau independent uniforms on [-eta, eta].
 For (eta, tau) = (2, 39) and (2, 60) the support never leaves [-127, 127],
 so a signed byte is always exact. For level 3's (4, 49) the support reaches
-+-196 and a byte lane can wrap; this demo computes exactly how often.
++-196 and a byte lane can wrap; this demo computes exactly how often, then
+forces a wrap and shows the int16 signing layout holding the true value.
 
 Run:  python demos/overflow_analysis.py
 """
 
 import numpy as np
 
-from sparsedil import analysis, param_set
+from sparsedil import analysis, codec, param_set
 from sparsedil.ring import Poly
 from sparsedil.sparse import encode_challenge, extend_secret, sparse_mul_branchless, sparse_mul_indexed
 
@@ -52,5 +53,7 @@ byte_prod = sparse_mul_branchless(encode_challenge(c, p.tau),
 i = int(np.argmax(centered))
 print(f"true coefficient {centered[i]} stored in a byte lane as {byte_prod[i]} "
       f"(wrapped by 256)")
-print("production level-3 signing therefore defaults to the NTT backend; the "
-      "byte-lane path is an explicit opt-in with the odds quantified above")
+signing_prod = sparse_mul_branchless(encode_challenge(c, p.tau),
+                                     codec.signing_layout(s, p), p.tau)
+print(f"the level-3 signing layout ({signing_prod.dtype} lanes) holds it exactly: "
+      f"{signing_prod[i]}")

@@ -1,8 +1,9 @@
 """Dilithium signatures with a branchless sparse multiplication signing path.
 
 The signing-side products c*s1 and c*s2 are computed from an index-encoded
-challenge and a widened (-s, s) secret layout using packed byte-lane
-kernels, optionally fused with the rejection norm checks; the NTT remains
+challenge and a widened (-s, s) secret layout using narrow-lane kernels
+(bytes; 16-bit at level 3), optionally fused with the rejection norm
+checks; the NTT remains
 available as a backend and as a correctness oracle.
 """
 

@@ -4,9 +4,9 @@ and the byte-overflow probability analysis.
 Exit codes: 0 success / signature accepted, 1 signature rejected,
 2 usage or I/O error, 3 self-test failure.
 
-The default signing backend is sparse_fused for levels 2 and 5 and ntt for
-level 3; the SPARSEDIL_BACKEND environment variable overrides it when no
---backend flag is given.
+The default signing backend is sparse_fused at every level; the
+SPARSEDIL_BACKEND environment variable overrides it when no --backend flag
+is given.
 """
 
 import argparse
@@ -159,11 +159,16 @@ def _selftest_sections(levels, trials, rng):
         p = param_set(level)
 
         def oracle_chain(p=p):
-            for _ in range(trials):
+            for t in range(trials + 1):
                 c = np.zeros(N, dtype=np.int8)
-                pos = rng.choice(N, p.tau, replace=False)
-                c[pos] = rng.choice([-1, 1], p.tau)
-                s = rng.integers(-p.eta, p.eta + 1, N).astype(np.int8)
+                if t == trials:
+                    # the largest product: tau aligned +1s over an all-eta secret
+                    c[:p.tau] = 1
+                    s = np.full(N, p.eta, dtype=np.int8)
+                else:
+                    pos = rng.choice(N, p.tau, replace=False)
+                    c[pos] = rng.choice([-1, 1], p.tau)
+                    s = rng.integers(-p.eta, p.eta + 1, N).astype(np.int8)
                 a = ring.Poly(s.astype(np.int64) % Q)
                 want = ring.schoolbook_negacyclic(ring.Poly(c.astype(np.int64) % Q), a).coeffs
                 got_ntt = ring.inv_ntt(ring.pointwise_mul(
@@ -174,14 +179,21 @@ def _selftest_sections(levels, trials, rng):
                 if not np.array_equal(want, got_idx):
                     raise AssertionError("index-based product disagrees with schoolbook")
                 idx = sparse.encode_challenge(c, p.tau)
+                # the lanes the signer multiplies must be exact at every level
+                signing = codec.signing_layout(s, p)
+                got = sparse.sparse_mul_branchless(idx, signing, p.tau).astype(np.int64) % Q
+                if not np.array_equal(want, got):
+                    raise AssertionError(
+                        "branchless product on the signing layout disagrees with schoolbook")
+                # the paper's int8 lanes: exact where tau*eta fits a byte, else wrap-bounded
                 ext = sparse.extend_secret(s, p.eta)
                 got8 = sparse.sparse_mul_branchless(idx, ext, p.tau).astype(np.int64) % Q
                 if p.challenge_fits_int8:
                     if not np.array_equal(want, got8):
                         raise AssertionError("branchless product disagrees with index-based")
                 else:
-                    diff = (want - got8) % Q
-                    if not np.all((diff == 0) | (diff % 256 == 0)):
+                    # a wrapped lane is off by 256 either way
+                    if not np.all(np.isin(ring.center(want - got8), (-256, 0, 256))):
                         raise AssertionError("branchless product differs beyond byte wrap")
 
         yield f"oracle-chain-level{level}", oracle_chain

@@ -8,7 +8,9 @@ time with DecodeError so verification can fail closed.
 The private-key decoder deviates from the classic in-memory shape on
 purpose: secrets come back already widened to the 512-entry (-s, s) layout
 consumed by the branchless multiplier, and t0 as signed 16-bit rows, so a
-signing loop never re-derives them across restarts.
+signing loop never re-derives them across restarts. The secret lanes are
+int8 where tau*eta fits a signed byte (levels 2 and 5) and int16 at level
+3, so every signing product is exact; `signing_layout` makes that choice.
 """
 
 import functools
@@ -168,8 +170,8 @@ class DecodedSecret:
     rho: bytes
     key: bytes
     tr: bytes
-    s1_ext: np.ndarray      # (l, 512) int8, rows in (-s, s) layout
-    s2_ext: np.ndarray      # (k, 512) int8
+    s1_ext: np.ndarray      # (l, 512) rows in (-s, s) layout; int8, int16 at level 3
+    s2_ext: np.ndarray      # (k, 512) same lanes as s1_ext
     t0: np.ndarray          # (k, 256) int16
 
 
@@ -179,6 +181,16 @@ def sk_encode(rho: bytes, key: bytes, tr: bytes, s1, s2, t0,
             + pack_eta(s1, params.eta)
             + pack_eta(s2, params.eta)
             + pack_t0(t0))
+
+
+def signing_layout(s, params: ParameterSet) -> np.ndarray:
+    """Secrets (..., 256) in the extended layout the signer multiplies.
+
+    int8 lanes where |c*s| <= tau*eta fits a signed byte; otherwise int16,
+    which holds every partial sum of the product exactly.
+    """
+    ext = extend_secret(s, params.eta)
+    return ext if params.challenge_fits_int8 else ext.astype(np.int16)
 
 
 def sk_decode_extended(sk: bytes, params: ParameterSet) -> DecodedSecret:
@@ -196,8 +208,8 @@ def sk_decode_extended(sk: bytes, params: ParameterSet) -> DecodedSecret:
     s2 = unpack_eta(sk[off:off + params.k * per], params.k, params.eta)
     off += params.k * per
     t0 = unpack_t0(sk[off:], params.k).astype(np.int16)
-    s1_ext = np.stack([extend_secret(row, params.eta) for row in s1])
-    s2_ext = np.stack([extend_secret(row, params.eta) for row in s2])
+    s1_ext = signing_layout(s1, params)
+    s2_ext = signing_layout(s2, params)
     for arr in (s1_ext, s2_ext, t0):
         arr.setflags(write=False)
     return DecodedSecret(rho=sk[:32], key=sk[32:64], tr=sk[64:96],

@@ -34,6 +34,18 @@ def decompose(r, alpha: int):
     return r1, r0
 
 
+def lowbits_exceeds(r, alpha: int, bound: int):
+    """Elementwise |LowBits(r, alpha)| >= bound, for r in [0, q) and bound <= alpha/2.
+
+    Two passes instead of decompose's centering: r0 lies in
+    [-(bound-1), bound-1] exactly when (r + bound - 1) mod alpha <= 2*bound - 2.
+    The q-1 fold moves one in-range value out: r = q - bound has centered
+    remainder -(bound-1), folded down to -bound.
+    """
+    r = np.asarray(r, dtype=np.int64)
+    return (((r + (bound - 1)) % alpha) > 2 * bound - 2) | (r == Q - bound)
+
+
 def highbits(r, alpha: int):
     return decompose(r, alpha)[0]
 

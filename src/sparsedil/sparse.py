@@ -6,19 +6,21 @@ A challenge c has exactly tau coefficients in {-1, +1}. It is stored as a
 -1 indices in scan order. The secret is widened once into the 512-entry
 extended layout (-s_0..-s_255, s_0..s_255) so that for every challenge
 index k the contribution to all 256 output coefficients is the contiguous
-byte window ext[256-k .. 511-k], negacyclic signs included.
+window ext[256-k .. 511-k], negacyclic signs included.
 
 The production kernel gathers all tau windows of a row in one
-fancy-index read of a strided window view, (tau, 256) bytes, and sums the
-+1 windows and the -1 windows in wrapping int8. Its shapes depend only on
-(poscnt, tau), both public. Wrapping addition is associative, so the bytes
-equal those of the paper's packed-lane (SWAR) accumulation on 32-bit words
-of four signed bytes; `packed_add_lanes`/`packed_sub_lanes` reproduce that
-arithmetic and are the kernel's test oracle. The fused kernels run the z
-or r0 check polynomial by polynomial, right after each row's gather, and
-stop at the first row that fails. For levels where tau*eta <= 127 the
-8-bit result is exact; otherwise wrapping is a documented,
-probability-bounded event.
+fancy-index read of a strided window view, (tau, 256) lanes, and sums the
++1 windows and the -1 windows in the lanes' own dtype, wrapping. Its
+shapes depend only on (poscnt, tau), both public. `extend_secret` gives
+the paper's int8 lanes; wrapping addition is associative, so their bytes
+equal those of the paper's packed-lane (SWAR) accumulation on 32-bit
+words of four signed bytes; `packed_add_lanes`/`packed_sub_lanes`
+reproduce that arithmetic and are the kernel's test oracle. Where
+tau*eta <= 127 (levels 2 and 5) int8 is exact; at level 3 (196) a byte
+lane can wrap, so the signing layout (`codec.sk_decode_extended`) widens
+level-3 rows to int16, on which every partial sum is exact. The fused
+kernels run the z or r0 check polynomial by polynomial, right after each
+row's gather, and stop at the first row that fails.
 """
 
 from typing import NamedTuple
@@ -29,6 +31,7 @@ from numpy.lib.stride_tricks import as_strided
 from . import instrumentation
 from .params import N, Q
 from .ring import Domain, Poly
+from .rounding import lowbits_exceeds
 
 _LANE_LOW = 0x7F7F7F7F
 _LANE_TOP = 0x80808080
@@ -87,13 +90,18 @@ def decode_challenge(index, tau: int) -> np.ndarray:
 
 
 def extend_secret(s, eta: int) -> np.ndarray:
-    """Widen a small secret polynomial to the 512-entry (-s, s) layout."""
-    s = np.asarray(s, dtype=np.int64)
-    if s.shape != (N,):
+    """Widen small secret polynomials to the 512-entry (-s, s) int8 layout.
+
+    Accepts one polynomial or any stack of them, shape (..., 256), and
+    returns shape (..., 512).
+    """
+    s = np.asarray(s)
+    if s.shape[-1:] != (N,):
         raise ValueError(f"secret must have {N} coefficients")
-    if np.any(np.abs(s) > eta):
+    if np.any((s < -eta) | (s > eta)):
         raise ValueError(f"secret coefficient outside [-{eta}, {eta}]")
-    return np.concatenate((-s, s)).astype(np.int8)
+    s = s.astype(np.int8)
+    return np.concatenate((-s, s), axis=-1)
 
 
 def sparse_mul_indexed(c, a) -> Poly:
@@ -122,11 +130,12 @@ def _window_view(ext_rows: np.ndarray) -> np.ndarray:
     """Read-only (..., 257, 256) view of every window of the extended secrets.
 
     Entry [..., 256-k, :] is ext[256-k .. 511-k], the window of challenge
-    index k; no bytes are copied.
+    index k; nothing is copied. Rows are int8 (the paper's byte lanes) or
+    int16 (exact for every tau*eta of Dilithium).
     """
     ext_rows = np.asarray(ext_rows)
-    if ext_rows.dtype != np.int8 or ext_rows.shape[-1:] != (2 * N,):
-        raise ValueError("extended secrets must be rows of 512 signed bytes")
+    if ext_rows.dtype not in (np.int8, np.int16) or ext_rows.shape[-1:] != (2 * N,):
+        raise ValueError("extended secrets must be rows of 512 int8 or int16 lanes")
     step = ext_rows.strides[-1]
     return as_strided(ext_rows, ext_rows.shape[:-1] + (N + 1, N),
                       ext_rows.strides[:-1] + (step, step), writeable=False)
@@ -139,36 +148,38 @@ def _window_starts(index) -> tuple[int, np.ndarray]:
 
 
 def _gather_product(windows: np.ndarray, starts: np.ndarray, poscnt: int) -> np.ndarray:
-    """Wrapping 8-bit c*s from one gather of all tau windows.
+    """c*s from one gather of all tau windows, summed in the windows' dtype.
 
     Wrapping addition is associative, so summing the +1 and -1 windows
     separately in int8 gives the same bytes as accumulating them one by one
-    in packed lanes.
+    in packed lanes. In int16 each sum is at most tau*eta and their
+    difference at most 2*tau*eta, so the result is exact.
     """
     win = windows[..., starts, :]
-    return (win[..., :poscnt, :].sum(axis=-2, dtype=np.int8)
-            - win[..., poscnt:, :].sum(axis=-2, dtype=np.int8))
+    return (win[..., :poscnt, :].sum(axis=-2, dtype=win.dtype)
+            - win[..., poscnt:, :].sum(axis=-2, dtype=win.dtype))
 
 
 def sparse_mul_branchless_vec(index, ext_rows: np.ndarray, tau: int) -> np.ndarray:
     """Branchless c*s for a whole vector of extended secrets at once.
 
-    `ext_rows` has shape (m, 512); one shared challenge index list drives
-    all rows. The gather and both sums have shapes fixed by (poscnt, tau);
-    secrets are touched only through public window offsets.
+    `ext_rows` has shape (m, 512), int8 or int16 lanes, and the result has
+    their dtype; one shared challenge index list drives all rows. The
+    gather and both sums have shapes fixed by (poscnt, tau); secrets are
+    touched only through public window offsets.
     """
     if np.shape(index) != (tau + 1,):
         raise ValueError(f"index list must have {tau + 1} entries")
     poscnt, starts = _window_starts(index)
     windows = _window_view(ext_rows)
     if windows.ndim != 3:
-        raise ValueError("extended secrets must be rows of 512 signed bytes")
+        raise ValueError("extended secrets must be rows of 512 int8 or int16 lanes")
     instrumentation.add_swar_steps(windows.shape[0] * tau * (N // 4))
     return _gather_product(windows, starts, poscnt)
 
 
 def sparse_mul_branchless(index, ext, tau: int) -> np.ndarray:
-    """Accumulate c*s in wrapping signed bytes, driven only by the index list."""
+    """c*s for one extended secret, driven only by the index list."""
     if getattr(ext, "ndim", 1) != 1:
         raise ValueError("expected a single 512-byte extended secret")
     return sparse_mul_branchless_vec(index, ext[None, :], tau)[0]
@@ -220,12 +231,7 @@ def fused_r0(index, ext_s2: np.ndarray, w: np.ndarray, gamma2: int, bound: int) 
     alpha = 2 * gamma2
     for i in range(w.shape[0]):
         prod = _gather_product(windows[i], starts, poscnt)
-        r = (w[i] - prod) % Q
-        # inline LowBits(r, alpha): centered remainder plus the q-1 fold
-        r0 = r % alpha
-        r0 = np.where(r0 > gamma2, r0 - alpha, r0)
-        r0 = np.where((r - r0) == Q - 1, r0 - 1, r0)
-        if np.abs(r0).max() >= bound:
+        if lowbits_exceeds((w[i] - prod) % Q, alpha, bound).any():
             return FusedR0(False, cs2, (i + 1) * _BLOCKS_PER_POLY)
         cs2[i] = prod
     return FusedR0(True, cs2, w.shape[0] * _BLOCKS_PER_POLY)

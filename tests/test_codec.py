@@ -121,12 +121,15 @@ def test_sk_decode_pipeline_identity(keypairs):
 
 
 def test_sk_decode_returns_readonly_arrays(keypairs):
-    p = param_set(2)
-    dec = codec.sk_decode_extended(keypairs[2][1], p)
-    with pytest.raises(ValueError):
-        dec.s1_ext[0, 0] = 1
-    with pytest.raises(ValueError):
-        dec.t0[0, 0] = 1
+    for lv in LEVELS:
+        p = param_set(lv)
+        dec = codec.sk_decode_extended(keypairs[lv][1], p)
+        # byte lanes where tau*eta fits int8; 16-bit lanes for level 3's 196
+        lanes = np.int8 if lv in (2, 5) else np.int16
+        assert dec.s1_ext.dtype == dec.s2_ext.dtype == lanes
+        for arr in (dec.s1_ext, dec.s2_ext, dec.t0):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1
 
 
 def test_sk_decode_length_error():

@@ -2,8 +2,8 @@ import numpy as np
 
 from sparsedil.params import D, LEVELS, Q, param_set
 from sparsedil.rounding import (decompose, highbits, hint_weight, lowbits,
-                                make_hint, norm_inf_exceeds, power2round,
-                                use_hint)
+                                lowbits_exceeds, make_hint, norm_inf_exceeds,
+                                power2round, use_hint)
 
 ALPHAS = sorted({param_set(lv).alpha for lv in LEVELS})
 
@@ -104,6 +104,20 @@ def test_decompose_matches_bit_trick_oracle_exhaustively():
             w1, w0 = _bit_trick_decompose(r, alpha)
             m1, m0 = decompose(r, alpha)
             assert np.array_equal(w1, m1) and np.array_equal(w0, m0), (alpha, start)
+
+
+def test_lowbits_exceeds_matches_decompose_exhaustively():
+    chunk = 1 << 21
+    for lv in LEVELS:
+        p = param_set(lv)
+        bound = p.gamma2 - p.beta           # the signer's r0 bound
+        for start in range(0, Q, chunk):
+            r = np.arange(start, min(start + chunk, Q), dtype=np.int64)
+            want = np.abs(decompose(r, p.alpha)[1]) >= bound
+            assert np.array_equal(lowbits_exceeds(r, p.alpha, bound), want), (lv, start)
+    # the q-1 fold pushes exactly r = q - bound over the bound
+    assert lowbits_exceeds(Q - bound, p.alpha, bound)
+    assert not lowbits_exceeds(Q - bound + 1, p.alpha, bound)
 
 
 def test_lowbits_matches_decompose():

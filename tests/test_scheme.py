@@ -258,14 +258,28 @@ def test_both_checks_failing_runs_only_r0(keypairs):
     assert found, "no attempt found where both checks fail"
 
 
-def test_level3_wrap_check_clean(keypairs):
+def test_level3_signing_layout_is_exact_on_worst_case():
+    # constructed worst case: 49 aligned +1 windows over an all-4 secret
+    from sparsedil.ring import Poly, center
     p = param_set(3)
-    pk, sk = keypairs[3]
-    tr = SignTrace()
-    sig = scheme.sign(p, sk, b"wrapwatch", backend=Backend.SPARSE, trace=tr,
-                      debug_wrap_check=True)
-    assert tr.wrap_events == 0
-    assert scheme.verify(p, pk, b"wrapwatch", sig)
+    c = np.zeros(N, dtype=np.int8)
+    c[:p.tau] = 1
+    s = np.full((p.k, N), p.eta, dtype=np.int8)
+    sk = codec.sk_encode(bytes(32), bytes(32), bytes(32), s[:p.l], s,
+                         np.zeros((p.k, N), dtype=np.int64), p)
+    dec = codec.sk_decode_extended(sk, p)
+    idx = sparse.encode_challenge(c, p.tau)
+    exact = center(sparse.sparse_mul_indexed(c, Poly(s[0].astype(np.int64))).coeffs)
+    assert exact.max() == p.tau * p.eta == 196
+    want = np.broadcast_to(exact, (p.k, N))
+
+    assert np.array_equal(sparse.sparse_mul_branchless_vec(idx, dec.s1_ext, p.tau), want[:p.l])
+    w = want % Q                         # w - c*s2 == 0: the r0 check passes
+    res = sparse.fused_r0(idx, dec.s2_ext, w, p.gamma2, p.gamma2 - p.beta)
+    assert res.ok and np.array_equal(res.cs2, want)
+    # the paper's int8 rows still hold 196 as 196 - 256
+    ext8 = sparse.extend_secret(s, p.eta)
+    assert np.all(sparse.sparse_mul_branchless_vec(idx, ext8, p.tau)[:, exact == 196] == -60)
 
 
 def test_accepted_products_match_oracle(keypairs):
@@ -283,7 +297,7 @@ def test_accepted_products_match_oracle(keypairs):
 
 def test_backend_coercion_and_default():
     assert scheme.default_backend(2) is Backend.SPARSE_FUSED
-    assert scheme.default_backend(3) is Backend.NTT
+    assert scheme.default_backend(3) is Backend.SPARSE_FUSED
     assert scheme.default_backend(5) is Backend.SPARSE_FUSED
     assert scheme._coerce_backend("sparse-fused") is Backend.SPARSE_FUSED
     with pytest.raises(ValueError):
@@ -296,4 +310,4 @@ def test_dilithium_wrapper_roundtrip():
     sig = d.sign(sk, b"wrapped")
     assert d.verify(pk, b"wrapped", sig)
     assert d.backend is Backend.SPARSE_FUSED
-    assert Dilithium(3).backend is Backend.NTT
+    assert Dilithium(3).backend is Backend.SPARSE_FUSED

@@ -94,11 +94,19 @@ def test_extend_secret_negation_property():
         ext = sparse.extend_secret(s, eta)
         assert np.all(ext[:N].astype(np.int16) + ext[N:] == 0)
         assert np.all(np.abs(ext) <= eta)
+    # a whole vector in one call equals widening it row by row
+    rows = random_secret(rng, 4, (6, N))
+    ext = sparse.extend_secret(rows, 4)
+    assert ext.shape == (6, 2 * N) and ext.dtype == np.int8
+    assert np.array_equal(ext, np.stack([sparse.extend_secret(r, 4) for r in rows]))
 
 
 def test_extend_secret_range_check():
     s = np.zeros(N, dtype=np.int8)
     s[5] = 3
+    with pytest.raises(ValueError, match=r"\[-2, 2\]"):
+        sparse.extend_secret(s, 2)
+    s[5] = -128                          # |-128| wraps to -128 in int8
     with pytest.raises(ValueError, match=r"\[-2, 2\]"):
         sparse.extend_secret(s, 2)
 
