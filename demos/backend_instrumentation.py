@@ -38,9 +38,10 @@ for backend in Backend:
           f"(< {p.gamma1 - p.beta}), max|r0| = {trace.accepted_r0_max} "
           f"(< {p.gamma2 - p.beta})")
 
-print("\nNote the ordering: the unfused backends evaluate z then r0, while "
-      "sparse_fused evaluates r0 first and skips z entirely when r0 already "
-      "failed.")
+print("\nNote the ordering: ntt and sparse evaluate z then r0, while "
+      "sparse_fused evaluates r0 first. Both byte-lane backends compute each "
+      "product inside its check, so a failing first check skips the other "
+      "product; ntt computes both on every attempt.")
 
 print("\n--- small benchmark (informational wall-clock only) ---")
 rows = run_bench(2, iterations=20)

@@ -2,9 +2,8 @@
 
 The signing-side products c*s1 and c*s2 are computed from an index-encoded
 challenge and a widened (-s, s) secret layout using narrow-lane kernels
-(bytes; 16-bit at level 3), optionally fused with the rejection norm
-checks; the NTT remains
-available as a backend and as a correctness oracle.
+(bytes; 16-bit at level 3), each fused with its rejection norm check;
+the NTT remains available as a backend and as a correctness oracle.
 """
 
 from .params import LEVELS, ParameterSet, param_set

@@ -4,9 +4,8 @@ and the byte-overflow probability analysis.
 Exit codes: 0 success / signature accepted, 1 signature rejected,
 2 usage or I/O error, 3 self-test failure.
 
-The default signing backend is sparse_fused at every level; the
-SPARSEDIL_BACKEND environment variable overrides it when no --backend flag
-is given.
+The default signing backend is sparse_fused at every level; `sign
+--backend` picks another.
 """
 
 import argparse
@@ -20,23 +19,11 @@ from . import analysis, bench, codec, ring, rounding, scheme, sparse
 from .params import LEVELS, N, Q, param_set
 from .scheme import Backend
 
-ENV_BACKEND = "SPARSEDIL_BACKEND"
-
 _BACKEND_CHOICES = ("ntt", "sparse", "sparse-fused")
 
 
 class CliError(Exception):
     """Operational failure reported with exit code 2."""
-
-
-def _backend_from(args) -> Backend | None:
-    name = getattr(args, "backend", None) or os.environ.get(ENV_BACKEND)
-    if name is None:
-        return None
-    try:
-        return scheme._coerce_backend(name)
-    except ValueError:
-        raise CliError(f"unknown backend {name!r}; choose from {_BACKEND_CHOICES}")
 
 
 def _read_file(path: str, hex_mode: bool) -> bytes:
@@ -109,7 +96,7 @@ def cmd_sign(args) -> int:
     params = param_set(level)
     message = _read_file(args.msg, hex_mode=False)
     _require_parent_dirs(args.out)
-    backend = _backend_from(args) or scheme.default_backend(level)
+    backend = scheme._coerce_backend(args.backend or scheme.default_backend(level))
     sig = scheme.sign(params, sk, message, backend=backend,
                       randomized=args.randomized)
     _write_file(args.out, sig, args.hex)

@@ -126,10 +126,6 @@ def z_packed_bytes(params: ParameterSet) -> int:
     return N * _z_width(params) // 8
 
 
-def w1_packed_bytes(params: ParameterSet) -> int:
-    return N * _w1_width(params) // 8
-
-
 T0_PACKED_BYTES = N * D // 8
 T1_PACKED_BYTES = N * 10 // 8
 

@@ -85,10 +85,6 @@ class PolyMat:
         object.__setattr__(self, "coeffs", c)
 
 
-def zero_poly(domain: Domain = Domain.STANDARD) -> Poly:
-    return Poly(np.zeros(N, dtype=np.int32), domain)
-
-
 # ---------------------------------------------------------------------------
 # array-level transforms (operate on the last axis, int64 working precision)
 
@@ -172,17 +168,6 @@ def pointwise_mul(a, b):
     return type(a)(prod, Domain.NTT)
 
 
-def pointwise_matvec(A: PolyMat, v: PolyVec) -> PolyVec:
-    """Matrix-vector product in the NTT domain: out[i] = sum_j A[i,j] * v[j]."""
-    _require(A.domain == Domain.NTT and v.domain == Domain.NTT,
-             "pointwise_matvec expects NTT-domain inputs")
-    _require(A.coeffs.shape[1] == len(v), "matrix/vector size mismatch")
-    prod = A.coeffs.astype(np.int64) * v.coeffs.astype(np.int64)[None, :, :]
-    out = prod.sum(axis=1) % Q
-    instrumentation.add_modmul(prod.size)
-    return PolyVec(out, Domain.NTT)
-
-
 def schoolbook_negacyclic(a: Poly, b: Poly) -> Poly:
     """Exact O(n^2) negacyclic product; the oracle for every other path.
 
@@ -198,27 +183,6 @@ def schoolbook_negacyclic(a: Poly, b: Poly) -> Poly:
     out[: N - 1] -= conv[N:]
     instrumentation.add_modmul(N * N)
     return Poly(out % Q, Domain.STANDARD)
-
-
-def poly_add(a, b):
-    _same_kind(a, b)
-    return type(a)((a.coeffs.astype(np.int64) + b.coeffs) % Q, a.domain)
-
-
-def poly_sub(a, b):
-    _same_kind(a, b)
-    return type(a)((a.coeffs.astype(np.int64) - b.coeffs) % Q, a.domain)
-
-
-def reduce(a):
-    """Canonical representatives in [0, q)."""
-    return type(a)(a.coeffs.astype(np.int64) % Q, a.domain)
-
-
-def caddq(a):
-    """Map negative representatives into [0, q); other values unchanged."""
-    c = a.coeffs.astype(np.int64)
-    return type(a)(np.where(c < 0, c + Q, c), a.domain)
 
 
 def center(values: np.ndarray) -> np.ndarray:

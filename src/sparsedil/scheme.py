@@ -1,18 +1,19 @@
 """KeyGen / Sign / Verify with a selectable challenge-multiplication backend.
 
 Signing is deterministic by default. The rejection loop follows the classic
-structure; the backends differ only in how c*s1 and c*s2 are produced and
-when the two norm checks run:
+structure; a backend is a way to compute c*s1 and c*s2 plus the order in
+which the z and r0 checks run (`_CHECK_ORDER`):
 
-  ntt           c*s1, c*s2 through the NTT; z check first, then r0
-  sparse        one gather of the tau challenge windows per product on the
-                predecoded extended secrets, summed in their lanes (int8,
-                int16 at level 3); same check order as ntt
-  sparse_fused  the same gather, one polynomial at a time, with the check
-                on each polynomial right after its product: r0 over c*s2
-                runs FIRST and stops at the first failing polynomial, then
-                z over c*s1 (restarts are cheaper when the more selective
-                check leads)
+  ntt           c*s1, c*s2 through the NTT, both before either check;
+                z check first, then r0
+  sparse        the fused pair: each product is one gather of the tau
+                challenge windows over all rows of the predecoded extended
+                secrets, summed in their lanes (int8, int16 at level 3),
+                then checked as a whole vector (`fused_z`, `fused_r0`);
+                z first, then r0
+  sparse_fused  the same fused pair with r0 FIRST, then z (restarts are
+                cheaper when the more selective check leads): an attempt
+                that fails r0 never computes c*s1
 
 c*t0 always goes through the NTT: t0 coefficients do not fit signed bytes.
 The byte-lane backends transform c only once z and r0 have accepted.
@@ -30,10 +31,10 @@ from . import codec, instrumentation
 from .keccak import shake256
 from .params import N, Q, ParameterSet, param_set
 from .ring import center, intt_values, ntt_values
-from .rounding import (decompose, hint_weight, lowbits_exceeds, make_hint,
-                       norm_inf_exceeds, power2round, use_hint)
+from .rounding import (decompose, hint_weight, make_hint, norm_inf_exceeds,
+                       power2round, use_hint)
 from .sampling import expand_a, expand_mask, expand_s, sample_in_ball
-from .sparse import encode_challenge, fused_r0, fused_z, sparse_mul_branchless_vec
+from .sparse import encode_challenge, fused_r0, fused_z, r0_check, z_check
 
 
 class Backend(enum.Enum):
@@ -70,14 +71,19 @@ class SignTrace:
     accepted_z_max: int = 0
     accepted_r0_max: int = 0
     accepted_cs1: np.ndarray | None = None
-    accepted_cs2: np.ndarray | None = None
 
 
-def _matvec_intt(A_coeffs: np.ndarray, v_hat: np.ndarray) -> np.ndarray:
-    """inv_ntt(A * v_hat) for an NTT-domain matrix and vector, rows in [0, q)."""
-    prod = A_coeffs.astype(np.int64) * v_hat[None, :, :]
+def _ntt_product(a_hat: np.ndarray, b_hat: np.ndarray) -> np.ndarray:
+    """Counted NTT-domain product in [0, q).
+
+    A (k, l, 256) matrix times an (l, 256) vector gives A*v, summed over l;
+    otherwise the operands broadcast, as c_hat (256,) times rows (m, 256).
+    """
+    prod = np.asarray(a_hat, dtype=np.int64) * b_hat
     instrumentation.add_modmul(prod.size)
-    return intt_values(prod.sum(axis=1) % Q)
+    if prod.ndim == 3:
+        prod = prod.sum(axis=1)
+    return prod % Q
 
 
 def keygen(params: ParameterSet, zeta: bytes) -> tuple[bytes, bytes]:
@@ -88,7 +94,7 @@ def keygen(params: ParameterSet, zeta: bytes) -> tuple[bytes, bytes]:
     rho, rho_prime, key = seed[:32], seed[32:96], seed[96:128]
     A = expand_a(rho, params)
     s1, s2 = expand_s(rho_prime, params)
-    t = (_matvec_intt(A.coeffs, ntt_values(s1)) + s2) % Q
+    t = (intt_values(_ntt_product(A.coeffs, ntt_values(s1))) + s2) % Q
     t1, t0 = power2round(t)
     pk = codec.pk_encode(rho, t1, params)
     tr = shake256(pk, 32)
@@ -111,11 +117,9 @@ def sign(params: ParameterSet, sk: bytes, message: bytes,
 
     # per-call precomputation; restarts reuse all of it untouched
     t0_hat = ntt_values(dec.t0)
-    s1_hat = s2_hat = None
     ntt_products = backend is Backend.NTT
-    if ntt_products:
-        s1_hat = ntt_values(dec.s1_ext[:, N:])
-        s2_hat = ntt_values(dec.s2_ext[:, N:])
+    s_hat = ((ntt_values(dec.s1_ext[:, N:]), ntt_values(dec.s2_ext[:, N:]))
+             if ntt_products else None)
 
     gamma2, alpha = params.gamma2, params.alpha
     kappa = 0
@@ -123,21 +127,19 @@ def sign(params: ParameterSet, sk: bytes, message: bytes,
         checks: list[str] = []
         y = expand_mask(rho_pp, kappa, params).coeffs.astype(np.int64)
         kappa += params.l
-        w = _matvec_intt(A.coeffs, ntt_values(y))
+        w = intt_values(_ntt_product(A.coeffs, ntt_values(y)))
         w1 = decompose(w, alpha)[0]
         c_tilde = shake256(mu + codec.pack_w1(w1, params), 32)
         c = sample_in_ball(c_tilde, params.tau)
         # byte-lane backends need ntt(c) only for c*t0, after z and r0 accept
         c_hat = ntt_values(c) if ntt_products else None
 
-        ok, z, cs2 = _attempt(params, backend, dec, y, w, c, c_hat,
-                              s1_hat, s2_hat, checks, trace)
+        ok, z, cs2 = _attempt(params, backend, dec, y, w, c, c_hat, s_hat, checks, trace)
         if ok:
             if c_hat is None:
                 c_hat = ntt_values(c)
             # c*t0 stays on the NTT path (t0 exceeds the 8-bit range)
-            ct0 = center(intt_values(c_hat[None, :] * t0_hat % Q))
-            instrumentation.add_modmul(t0_hat.size)
+            ct0 = center(intt_values(_ntt_product(c_hat, t0_hat)))
             h = make_hint(-ct0, (w - cs2 + ct0) % Q, alpha)
             checks.append("ct0")
             if not norm_inf_exceeds(ct0, gamma2):
@@ -148,8 +150,7 @@ def sign(params: ParameterSet, sk: bytes, message: bytes,
                         trace.accepted_z_max = int(np.max(np.abs(z)))
                         r0 = decompose((w - cs2) % Q, alpha)[1]
                         trace.accepted_r0_max = int(np.max(np.abs(r0)))
-                        trace.accepted_cs1 = (z - y).copy()
-                        trace.accepted_cs2 = np.asarray(cs2).copy()
+                        trace.accepted_cs1 = z - y
                     return codec.sig_encode(c_tilde, z, h, params)
 
         if trace is not None:
@@ -157,61 +158,63 @@ def sign(params: ParameterSet, sk: bytes, message: bytes,
             trace.restarts += 1
 
 
-def _attempt(params, backend, dec, y, w, c, c_hat, s1_hat, s2_hat,
-             checks, trace):
-    """One attempt's z / r0 checks. Returns (accepted, z, cs2)."""
-    gamma1, gamma2, beta, alpha = params.gamma1, params.gamma2, params.beta, params.alpha
+_CHECK_ORDER = {
+    Backend.NTT: ("z", "r0"),
+    Backend.SPARSE: ("z", "r0"),
+    Backend.SPARSE_FUSED: ("r0", "z"),
+}
 
-    if backend is Backend.SPARSE_FUSED:
-        index = encode_challenge(c, params.tau)
-        checks.append("r0")
-        with instrumentation.counting() as cn:
-            res_r0 = fused_r0(index, dec.s2_ext, w, gamma2, gamma2 - beta)
-        if trace is not None:
-            trace.cs2_modmuls += cn.modmul
-        if not res_r0.ok:
-            return False, None, None
-        checks.append("z")
-        with instrumentation.counting() as cn:
-            res_z = fused_z(index, dec.s1_ext, y, gamma1 - beta)
-        if trace is not None:
-            trace.cs1_modmuls += cn.modmul
-        if res_z.rejected:
-            return False, None, None
-        return True, res_z.z, res_r0.cs2
 
-    if backend is Backend.SPARSE:
-        index = encode_challenge(c, params.tau)
-        with instrumentation.counting() as cn1:
-            cs1 = sparse_mul_branchless_vec(index, dec.s1_ext, params.tau).astype(np.int64)
-        with instrumentation.counting() as cn2:
-            cs2 = sparse_mul_branchless_vec(index, dec.s2_ext, params.tau).astype(np.int64)
-        if trace is not None:
-            trace.cs1_modmuls += cn1.modmul
-            trace.cs2_modmuls += cn2.modmul
+def _charge(trace, check, modmuls):
+    """Add a check's product multiplications to the trace: z owns c*s1, r0 c*s2."""
+    if trace is None:
+        return
+    if check == "z":
+        trace.cs1_modmuls += modmuls
     else:
-        with instrumentation.counting() as cn1:
-            cs1 = center(intt_values(c_hat[None, :] * s1_hat % Q))
-            instrumentation.add_modmul(s1_hat.size)
-        with instrumentation.counting() as cn2:
-            cs2 = center(intt_values(c_hat[None, :] * s2_hat % Q))
-            instrumentation.add_modmul(s2_hat.size)
-        if trace is not None:
-            trace.cs1_modmuls += cn1.modmul
-            trace.cs2_modmuls += cn2.modmul
+        trace.cs2_modmuls += modmuls
 
-    z = y + cs1
-    checks.append("z")
-    if norm_inf_exceeds(z, gamma1 - beta):
-        return False, None, None
-    checks.append("r0")
-    if lowbits_exceeds((w - cs2) % Q, alpha, gamma2 - beta).any():
-        return False, None, None
-    return True, z, cs2
+
+def _attempt(params, backend, dec, y, w, c, c_hat, s_hat, checks, trace):
+    """One attempt's z and r0 checks in the backend's order. Returns (accepted, z, cs2).
+
+    The byte-lane backends compute each product inside its check, so a
+    failing first check skips the second product; ntt computes both first.
+    """
+    gamma2 = params.gamma2
+    z_bound, r0_bound = params.gamma1 - params.beta, gamma2 - params.beta
+    if backend is Backend.NTT:
+        cs = {}
+        for check, s in zip(("z", "r0"), s_hat):
+            with instrumentation.counting() as cn:
+                cs[check] = center(intt_values(_ntt_product(c_hat, s)))
+            _charge(trace, check, cn.modmul)
+        run = {"z": lambda: z_check(y, cs["z"], z_bound),
+               "r0": lambda: r0_check(w, cs["r0"], gamma2, r0_bound)}
+    else:
+        index = encode_challenge(c, params.tau)
+        run = {"z": lambda: fused_z(index, dec.s1_ext, y, z_bound),
+               "r0": lambda: fused_r0(index, dec.s2_ext, w, gamma2, r0_bound)}
+
+    done = {}
+    for check in _CHECK_ORDER[backend]:
+        checks.append(check)
+        with instrumentation.counting() as cn:
+            done[check] = run[check]()
+        _charge(trace, check, cn.modmul)
+        if not done[check].ok:
+            return False, None, None
+    return True, done["z"].z, done["r0"].cs2
 
 
 def verify(params: ParameterSet, pk: bytes, message: bytes, sig: bytes) -> bool:
-    """Check a signature; malformed inputs simply fail."""
+    """Check a signature: True iff `sig` is valid for `message` under `pk`.
+
+    Malformed `pk` or `sig` bytes make verify return False; it never raises
+    on them. `message` must be bytes (or bytes-like): a str is a caller
+    error and raises TypeError.
+    """
+    mu = shake256(shake256(pk, 32) + message, 64)
     try:
         rho, t1 = codec.pk_decode(pk, params)
         c_tilde, z, h = codec.sig_decode(sig, params)
@@ -220,11 +223,10 @@ def verify(params: ParameterSet, pk: bytes, message: bytes, sig: bytes) -> bool:
     if norm_inf_exceeds(z, params.gamma1 - params.beta):
         return False
     A = expand_a(rho, params)
-    mu = shake256(shake256(pk, 32) + message, 64)
-    c = sample_in_ball(c_tilde, params.tau)
-    az = (A.coeffs.astype(np.int64) * ntt_values(z)[None, :, :]).sum(axis=1) % Q
-    ct1 = ntt_values(c)[None, :] * ntt_values(t1.astype(np.int64) << params.d) % Q
-    w_approx = intt_values((az - ct1) % Q)
+    c_hat = ntt_values(sample_in_ball(c_tilde, params.tau))
+    t1_hat = ntt_values(t1.astype(np.int64) << params.d)
+    w_approx = intt_values((_ntt_product(A.coeffs, ntt_values(z))
+                            - _ntt_product(c_hat, t1_hat)) % Q)
     w1 = use_hint(h, w_approx, params.alpha)
     return c_tilde == shake256(mu + codec.pack_w1(w1, params), 32)
 

@@ -19,8 +19,9 @@ reproduce that arithmetic and are the kernel's test oracle. Where
 tau*eta <= 127 (levels 2 and 5) int8 is exact; at level 3 (196) a byte
 lane can wrap, so the signing layout (`codec.sk_decode_extended`) widens
 level-3 rows to int16, on which every partial sum is exact. The fused
-kernels run the z or r0 check polynomial by polynomial, right after each
-row's gather, and stop at the first row that fails.
+kernels gather c*s1 (or c*s2) for the whole vector at once and run the z
+(or r0) check on it; the signer runs one of them first, so an attempt that
+fails that check never computes the other product.
 """
 
 from typing import NamedTuple
@@ -141,21 +142,18 @@ def _window_view(ext_rows: np.ndarray) -> np.ndarray:
                       ext_rows.strides[:-1] + (step, step), writeable=False)
 
 
-def _window_starts(index) -> tuple[int, np.ndarray]:
-    """(poscnt, window starts 256-k for every challenge index k in slot order)."""
-    index = np.asarray(index, dtype=np.uint8)
-    return int(index[0]), N - index[1:].astype(np.intp)
-
-
-def _gather_product(windows: np.ndarray, starts: np.ndarray, poscnt: int) -> np.ndarray:
-    """c*s from one gather of all tau windows, summed in the windows' dtype.
+def _gather_product(index, ext_rows: np.ndarray) -> np.ndarray:
+    """c*s for every row from one gather of all tau windows, in the rows' dtype.
 
     Wrapping addition is associative, so summing the +1 and -1 windows
     separately in int8 gives the same bytes as accumulating them one by one
     in packed lanes. In int16 each sum is at most tau*eta and their
     difference at most 2*tau*eta, so the result is exact.
     """
-    win = windows[..., starts, :]
+    index = np.asarray(index, dtype=np.uint8)
+    poscnt = int(index[0])
+    # challenge index k selects the window starting at 256 - k
+    win = _window_view(ext_rows)[..., N - index[1:].astype(np.intp), :]
     return (win[..., :poscnt, :].sum(axis=-2, dtype=win.dtype)
             - win[..., poscnt:, :].sum(axis=-2, dtype=win.dtype))
 
@@ -170,12 +168,10 @@ def sparse_mul_branchless_vec(index, ext_rows: np.ndarray, tau: int) -> np.ndarr
     """
     if np.shape(index) != (tau + 1,):
         raise ValueError(f"index list must have {tau + 1} entries")
-    poscnt, starts = _window_starts(index)
-    windows = _window_view(ext_rows)
-    if windows.ndim != 3:
+    if np.ndim(ext_rows) != 2:
         raise ValueError("extended secrets must be rows of 512 int8 or int16 lanes")
-    instrumentation.add_swar_steps(windows.shape[0] * tau * (N // 4))
-    return _gather_product(windows, starts, poscnt)
+    instrumentation.add_swar_steps(len(ext_rows) * tau * (N // 4))
+    return _gather_product(index, ext_rows)
 
 
 def sparse_mul_branchless(index, ext, tau: int) -> np.ndarray:
@@ -186,52 +182,47 @@ def sparse_mul_branchless(index, ext, tau: int) -> np.ndarray:
 
 
 class FusedZ(NamedTuple):
-    z: np.ndarray          # (m, 256) int64, centered; rows past a rejection are zero
+    z: np.ndarray          # (m, 256) int64, y + c*s1
     rejected: bool
-    blocks: int            # 16-coefficient blocks actually accumulated
+    blocks: int            # 16-coefficient blocks accumulated, all m rows
+
+    @property
+    def ok(self) -> bool:
+        return not self.rejected
 
 
 class FusedR0(NamedTuple):
     ok: bool
-    cs2: np.ndarray        # (m, 256) int64; complete only when ok
+    cs2: np.ndarray        # (m, 256) int64
     blocks: int
 
 
-def fused_z(index, ext_s1: np.ndarray, y: np.ndarray, bound: int) -> FusedZ:
-    """z = y + c*s1 with the norm check fused into the accumulation.
+def z_check(y, prod: np.ndarray, bound: int) -> FusedZ:
+    """z = y + c*s1 for a whole vector, rejected if any |z_i| >= bound."""
+    z = np.asarray(getattr(y, "coeffs", y), dtype=np.int64) + prod
+    return FusedZ(z, bool(np.abs(z).max() >= bound), z.shape[0] * _BLOCKS_PER_POLY)
 
-    Proceeds polynomial by polynomial: one gather per row, then the check
-    on its 256 coefficients. The first row holding a coefficient with
-    |z_i| >= bound aborts the whole computation. On acceptance z equals the
-    unfused computation exactly.
+
+def r0_check(w, prod: np.ndarray, gamma2: int, bound: int) -> FusedR0:
+    """Accepts c*s2 when |LowBits(w - c*s2, 2*gamma2)| < bound everywhere."""
+    w = np.asarray(getattr(w, "coeffs", w), dtype=np.int64)
+    ok = not lowbits_exceeds((w - prod) % Q, 2 * gamma2, bound).any()
+    return FusedR0(ok, prod.astype(np.int64, copy=False), w.shape[0] * _BLOCKS_PER_POLY)
+
+
+def fused_z(index, ext_s1: np.ndarray, y: np.ndarray, bound: int) -> FusedZ:
+    """z = y + c*s1 with the norm check fused onto the product.
+
+    One gather over all rows, then one check on the whole vector; on
+    acceptance z equals the unfused computation exactly.
     """
-    poscnt, starts = _window_starts(index)
-    windows = _window_view(ext_s1)
-    y = np.asarray(getattr(y, "coeffs", y), dtype=np.int64)
-    z = np.zeros_like(y)
-    for i in range(y.shape[0]):
-        zi = y[i] + _gather_product(windows[i], starts, poscnt)
-        if np.abs(zi).max() >= bound:
-            return FusedZ(z, True, (i + 1) * _BLOCKS_PER_POLY)
-        z[i] = zi
-    return FusedZ(z, False, y.shape[0] * _BLOCKS_PER_POLY)
+    return z_check(y, _gather_product(index, ext_s1), bound)
 
 
 def fused_r0(index, ext_s2: np.ndarray, w: np.ndarray, gamma2: int, bound: int) -> FusedR0:
-    """Low-bits check of w - c*s2 fused into the accumulation of c*s2.
+    """Low-bits check of w - c*s2 fused onto the product c*s2.
 
-    Polynomial by polynomial, like `fused_z`: rejects at the first row where
-    |LowBits(w - c*s2, 2*gamma2)| >= bound; on acceptance the full c*s2 is
+    One gather over all rows, then one check on the whole vector; c*s2 is
     returned for the later hint computation.
     """
-    poscnt, starts = _window_starts(index)
-    windows = _window_view(ext_s2)
-    w = np.asarray(getattr(w, "coeffs", w), dtype=np.int64)
-    cs2 = np.zeros_like(w)
-    alpha = 2 * gamma2
-    for i in range(w.shape[0]):
-        prod = _gather_product(windows[i], starts, poscnt)
-        if lowbits_exceeds((w[i] - prod) % Q, alpha, bound).any():
-            return FusedR0(False, cs2, (i + 1) * _BLOCKS_PER_POLY)
-        cs2[i] = prod
-    return FusedR0(True, cs2, w.shape[0] * _BLOCKS_PER_POLY)
+    return r0_check(w, _gather_product(index, ext_s2), gamma2, bound)

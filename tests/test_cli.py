@@ -133,13 +133,6 @@ def test_hex_mode_roundtrip(tmp_path):
                 "--in", str(tmp_path / "msg"), "--sig", str(tmp_path / "sig.hex")]) == 0
 
 
-def test_env_var_backend_override(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv(cli.ENV_BACKEND, "ntt")
-    _keygen_sign(tmp_path)
-    err = capsys.readouterr().err
-    assert "ntt" in err
-
-
 def test_malformed_sk_is_usage_error(tmp_path, capsys):
     (tmp_path / "sk").write_bytes(b"not a key")
     (tmp_path / "msg").write_bytes(b"m")

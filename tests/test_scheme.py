@@ -125,6 +125,44 @@ def test_wrong_key_rejected(keypairs):
     assert not scheme.verify(p, pk2, b"m", sig)
 
 
+def _corrupted(rng, data, n):
+    """n malformed copies of data: a flipped byte, a truncation, an extension, noise."""
+    for i in range(n):
+        kind = i % 4
+        if kind == 0:
+            out = bytearray(data)
+            out[rng.integers(len(out))] ^= int(rng.integers(1, 256))
+            yield bytes(out)
+        elif kind == 1:
+            yield data[:rng.integers(len(data))]
+        elif kind == 2:
+            yield data + rng.bytes(int(rng.integers(1, 64)))
+        else:
+            yield rng.bytes(len(data))
+
+
+def test_verify_fails_closed(keypairs, params):
+    pk, sk = keypairs[params.level]
+    msg = b"fail closed"
+    sig = scheme.sign(params, sk, msg)
+    rng = np.random.default_rng(params.level + 20)
+    for bad_pk in _corrupted(rng, pk, 60):
+        assert scheme.verify(params, bad_pk, msg, sig) is False
+    for bad_sig in _corrupted(rng, sig, 100):
+        assert scheme.verify(params, pk, msg, bad_sig) is False
+
+
+def test_verify_str_message_is_caller_error(keypairs):
+    p = param_set(2)
+    pk, sk = keypairs[2]
+    sig = scheme.sign(p, sk, b"text")
+    assert scheme.verify(p, pk, bytearray(b"text"), sig)
+    with pytest.raises(TypeError):
+        scheme.verify(p, pk, "text", sig)
+    with pytest.raises(TypeError):       # before the signature is even decoded
+        scheme.verify(p, pk, "text", sig[:-1])
+
+
 def _sign_with_restarts(params, sk, backend, min_restarts=1, tries=200):
     """Find a message whose signing restarts at least once; return its trace."""
     for i in range(tries):
