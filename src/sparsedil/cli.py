@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import analysis, bench, codec, ring, rounding, scheme, sparse
-from .params import LEVELS, N, Q, param_set
+from .params import LEVELS, N, Q, ROOT_OF_UNITY, param_set
 from .scheme import Backend
 
 _BACKEND_CHOICES = ("ntt", "sparse", "sparse-fused")
@@ -89,10 +89,7 @@ def cmd_keygen(args) -> int:
 
 def cmd_sign(args) -> int:
     sk = _read_file(args.sk, args.hex)
-    try:
-        level = codec.level_for_sk(sk)
-    except codec.DecodeError as e:
-        raise CliError(str(e))
+    level = codec.level_for_sk(sk)
     params = param_set(level)
     message = _read_file(args.msg, hex_mode=False)
     _require_parent_dirs(args.out)
@@ -107,10 +104,7 @@ def cmd_sign(args) -> int:
 
 def cmd_verify(args) -> int:
     pk = _read_file(args.pk, args.hex)
-    try:
-        level = codec.level_for_pk(pk)
-    except codec.DecodeError as e:
-        raise CliError(str(e))
+    level = codec.level_for_pk(pk)
     params = param_set(level)
     message = _read_file(args.msg, hex_mode=False)
     sig = _read_file(args.sig, args.hex)
@@ -141,6 +135,25 @@ def _selftest_sections(levels, trials, rng):
             raise AssertionError("4-lane packed add mismatch")
 
     yield "swar-lanes", swar_exhaustive
+
+    def ntt_exactness():
+        # x_j = +-m with the sign of its weight in output i: the float64 sums come
+        # near 2^52, exact only on an IEEE float64 BLAS. The largest m, (q-1)/2 =
+        # 1023 * 2^12, leaves 12 low bits zero, so the odd m - 1 runs too.
+        half, brv = (Q - 1) // 2, [int(f"{k:08b}"[::-1], 2) for k in range(N)]
+        for i in (0, 1, 127, 128, 255):
+            root = pow(ROOT_OF_UNITY, 2 * brv[i] + 1, Q)
+            forward = [pow(root, j, Q) for j in range(N)]
+            inverse = [pow(N, -1, Q) * pow(ROOT_OF_UNITY, -(2 * b + 1) * i, Q) % Q for b in brv]
+            for name, fn, weights in (("ntt", ring.ntt_values, forward),
+                                      ("intt", ring.intt_values, inverse)):
+                for m in (half, half - 1):
+                    x = [m if w <= half else -m for w in weights]
+                    if fn(np.array(x))[i] != sum(a * w for a, w in zip(x, weights)) % Q:
+                        raise AssertionError(
+                            f"{name} output {i} differs from its definition at +-{m}")
+
+    yield "ntt-exactness", ntt_exactness
 
     for level in levels:
         p = param_set(level)
@@ -349,10 +362,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except (CliError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -2,10 +2,17 @@
 
 Polynomials carry a domain tag (standard coefficients vs NTT values) so that
 transform misuse fails loudly. The NTT fully splits x^256 + 1 into linear
-factors using the primitive 512th root of unity 1753, so multiplication in
+factors using the primitive 512th root of unity zeta = 1753: output i is
+a(zeta^(2*brv(i) + 1)), with brv the 8-bit bit reversal. Multiplication in
 the NTT domain is plain coefficient-wise modular multiplication; no scaling
 factor is left behind and inv_ntt(pointwise_mul(ntt(a), ntt(b))) equals the
 schoolbook negacyclic product exactly.
+
+Each transform is one float64 matrix product with a constant 256 x 256
+matrix. Inputs and matrix entries are centered in [-(q-1)/2, (q-1)/2], so
+every product is below 2^44 in magnitude and every partial sum of 256 of
+them below 2^52 < 2^53: each addition is exact in IEEE float64, whatever
+order the BLAS sums in.
 
 All operations are value-level: inputs are never mutated.
 """
@@ -24,17 +31,30 @@ class Domain(enum.Enum):
     NTT = "ntt"
 
 
-def _bit_reverse_8(x: int) -> int:
-    return int(f"{x:08b}"[::-1], 2)
+def center(values: np.ndarray) -> np.ndarray:
+    """Centered representatives in [-(q-1)/2, (q-1)/2] of integers mod q."""
+    v = np.asarray(values, dtype=np.int64) % Q
+    return np.where(v > (Q - 1) // 2, v - Q, v)
 
 
-def _build_zetas() -> np.ndarray:
-    z = np.array([pow(ROOT_OF_UNITY, _bit_reverse_8(i), Q) for i in range(N)], dtype=np.int64)
-    return z
+def _transform_matrices() -> tuple[np.ndarray, np.ndarray]:
+    """The forward and inverse NTT matrices, centered float64, applied as a @ M.
+
+    Forward M[j, i] = zeta^((2*brv(i) + 1)*j); inverse M[i, j] =
+    256^-1 * zeta^(-(2*brv(i) + 1)*j). Both are read-only, so concurrent
+    signers share them.
+    """
+    brv = np.array([int(f"{i:08b}"[::-1], 2) for i in range(N)])
+    powers = np.array([pow(ROOT_OF_UNITY, e, Q) for e in range(2 * N)], dtype=np.int64)
+    odd = 2 * brv + 1
+    fwd = center(powers).astype(np.float64)[np.outer(np.arange(N), odd) % (2 * N)]
+    inv = center(powers * pow(N, -1, Q)).astype(np.float64)[np.outer(odd, -np.arange(N)) % (2 * N)]
+    fwd.setflags(write=False)
+    inv.setflags(write=False)
+    return fwd, inv
 
 
-ZETAS = _build_zetas()
-_INV_N = pow(N, -1, Q)
+_NTT_MATRIX, _INTT_MATRIX = _transform_matrices()
 
 
 @dataclass
@@ -50,9 +70,6 @@ class Poly:
             raise ValueError(f"expected {N} coefficients, got shape {c.shape}")
         object.__setattr__(self, "coeffs", c)
 
-    def copy(self) -> "Poly":
-        return Poly(self.coeffs.copy(), self.domain)
-
 
 @dataclass
 class PolyVec:
@@ -66,9 +83,6 @@ class PolyVec:
         if c.ndim != 2 or c.shape[1] != N:
             raise ValueError(f"expected shape (m, {N}), got {c.shape}")
         object.__setattr__(self, "coeffs", c)
-
-    def __len__(self) -> int:
-        return self.coeffs.shape[0]
 
 
 @dataclass
@@ -86,52 +100,34 @@ class PolyMat:
 
 
 # ---------------------------------------------------------------------------
-# array-level transforms (operate on the last axis, int64 working precision)
+# array-level transforms (operate on the last axis, exact float64 products)
+
+def _matmul_mod(a, matrix: np.ndarray) -> np.ndarray:
+    """Centered a @ matrix reduced into [0, q); exact by the module's bound."""
+    a = np.asarray(a)
+    prod = center(a).reshape(-1, N).astype(np.float64) @ matrix
+    return prod.astype(np.int64).reshape(a.shape) % Q
+
 
 def ntt_values(a: np.ndarray) -> np.ndarray:
     """Forward transform of standard-order coefficients, any leading shape.
 
-    Reduction is lazy: only the twiddle products are reduced per layer, so
-    working magnitudes stay below 9q and every int64 product is exact.
+    Output i is a(zeta^(2*brv(i) + 1)) mod q, int64 in [0, q). The modmul
+    counter keeps the butterfly NTT's cost model (128 products per layer, 8
+    layers), which is the paper's baseline, not the matrix product's work.
     """
-    f = np.asarray(a, dtype=np.int64) % Q
-    lead = f.shape[:-1]
-    k = 1
-    length = 128
-    while length >= 1:
-        nb = N // (2 * length)
-        g = f.reshape(lead + (nb, 2, length))
-        z = ZETAS[k:k + nb].reshape((1,) * len(lead) + (nb, 1))
-        t = z * g[..., 1, :] % Q
-        g[..., 1, :] = g[..., 0, :] - t
-        g[..., 0, :] += t
-        k += nb
-        length >>= 1
-    instrumentation.add_modmul(max(1, int(np.prod(lead))) * 128 * 8)
-    return f % Q
+    instrumentation.add_modmul(max(1, int(np.prod(np.shape(a)[:-1]))) * 128 * 8)
+    return _matmul_mod(a, _NTT_MATRIX)
 
 
 def intt_values(fhat: np.ndarray) -> np.ndarray:
-    """Inverse transform, including the 1/256 scaling; output in [0, q).
+    """Inverse transform, including the 1/256 scaling; int64 in [0, q).
 
-    Lazy reduction mirrors the forward path: unreduced sums stay below
-    256q, so the final scaling product still fits int64 exactly.
+    Counted as the butterfly inverse: 8 layers of 128 products plus the
+    256 scaling products.
     """
-    f = np.asarray(fhat, dtype=np.int64) % Q
-    lead = f.shape[:-1]
-    k = 256
-    length = 1
-    while length <= 128:
-        nb = N // (2 * length)
-        g = f.reshape(lead + (nb, 2, length))
-        z = ((-ZETAS[k - nb:k][::-1]) % Q).reshape((1,) * len(lead) + (nb, 1))
-        t = g[..., 0, :] - g[..., 1, :]
-        g[..., 0, :] += g[..., 1, :]
-        g[..., 1, :] = z * t % Q
-        k -= nb
-        length <<= 1
-    instrumentation.add_modmul(max(1, int(np.prod(lead))) * (128 * 8 + N))
-    return f * _INV_N % Q
+    instrumentation.add_modmul(max(1, int(np.prod(np.shape(fhat)[:-1]))) * (128 * 8 + N))
+    return _matmul_mod(fhat, _INTT_MATRIX)
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -183,9 +179,3 @@ def schoolbook_negacyclic(a: Poly, b: Poly) -> Poly:
     out[: N - 1] -= conv[N:]
     instrumentation.add_modmul(N * N)
     return Poly(out % Q, Domain.STANDARD)
-
-
-def center(values: np.ndarray) -> np.ndarray:
-    """Centered representatives in [-(q-1)/2, (q-1)/2] of values in [0, q)."""
-    v = np.asarray(values, dtype=np.int64) % Q
-    return np.where(v > (Q - 1) // 2, v - Q, v)

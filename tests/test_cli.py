@@ -1,9 +1,11 @@
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from sparsedil import bench, cli, sparse
+from sparsedil import bench, cli, ring, sparse
+from sparsedil.params import N, Q
 
 SEED_HEX = "00" * 32
 
@@ -171,6 +173,24 @@ def test_selftest_names_broken_oracle(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "[FAIL] oracle-chain-level2" in out
     assert "branchless" in out
+
+
+def test_selftest_names_lossy_transform(monkeypatch, capsys):
+    # a BLAS that keeps 50 significant bits instead of 53: exact on the sums
+    # that signing produces, wrong only near the 2^52 worst case
+    def fifty_bit_product(a, matrix):
+        a = np.asarray(a)
+        m, e = np.frexp(ring.center(a).reshape(-1, N).astype(np.float64) @ matrix)
+        prod = np.ldexp(np.round(m * 2.0**50) / 2.0**50, e)
+        return prod.astype(np.int64).reshape(a.shape) % Q
+
+    monkeypatch.setattr(ring, "_matmul_mod", fifty_bit_product)
+    rc = run(["selftest", "--level", "2", "--trials", "2"])
+    assert rc == 3
+    out = capsys.readouterr().out
+    assert "[FAIL] ntt-exactness" in out
+    assert "differs from its definition" in out
+    assert "1 self-test section(s) failed" in out
 
 
 def test_bench_text_and_csv(capsys):

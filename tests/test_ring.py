@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sparsedil import ring
-from sparsedil.params import N, Q
+from sparsedil.params import N, Q, ROOT_OF_UNITY
 from sparsedil.ring import Domain, Poly, PolyVec
 
 
@@ -144,3 +144,90 @@ def test_polyvec_shares_domain():
     assert hat.domain == Domain.NTT and hat.coeffs.shape == (3, N)
     back = ring.inv_ntt(hat)
     assert np.array_equal(back.coeffs, vec.coeffs)
+
+
+HALF = (Q - 1) // 2
+INV_N = pow(N, -1, Q)
+
+
+def _brv(i):
+    return int(f"{i:08b}"[::-1], 2)
+
+
+def _horner(coeffs, x):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + int(c)) % Q
+    return acc
+
+
+def _ntt_by_definition(a, i):
+    """Output i of the forward NTT: a evaluated at zeta^(2*brv(i) + 1)."""
+    return _horner(a, pow(ROOT_OF_UNITY, 2 * _brv(i) + 1, Q))
+
+
+def _intt_by_definition(fhat, i):
+    """Output i of the inverse: 256^-1 * sum_k fhat_k * zeta^(-(2*brv(k) + 1)*i)."""
+    poly = [0] * (2 * N)
+    for k, v in enumerate(fhat):
+        poly[2 * _brv(k) + 1] = int(v)
+    return INV_N * _horner(poly, pow(ROOT_OF_UNITY, -i, Q)) % Q
+
+
+def _centered_sign(v):
+    return 1 if v % Q <= HALF else -1
+
+
+def test_ntt_matches_definition():
+    rng = np.random.default_rng(11)
+    rows = rng.integers(0, Q, (3, N))
+    got = ring.ntt_values(rows)
+    for r, row in enumerate(rows):
+        assert [int(v) for v in got[r]] == [_ntt_by_definition(row, i) for i in range(N)]
+    back = ring.intt_values(rows[0])
+    assert [int(v) for v in back] == [_intt_by_definition(rows[0], i) for i in range(N)]
+
+
+def test_intt_inverts_ntt_on_full_range():
+    rng = np.random.default_rng(12)
+    info = np.iinfo(np.int64)
+    x = rng.integers(info.min, info.max, (64, N), endpoint=True)
+    x[0, :4] = [info.min, info.max, -1, 0]
+    assert np.array_equal(ring.intt_values(ring.ntt_values(x)), x % Q)
+    assert np.array_equal(ring.ntt_values(ring.intt_values(x)), x % Q)
+    for const in (0, 1, HALF, HALF + 1, Q - 1):
+        row = np.full(N, const)
+        assert np.array_equal(ring.intt_values(ring.ntt_values(row)), row)
+
+
+@pytest.mark.parametrize("i", [0, 1, 2, 127, 128, 200, 255])
+@pytest.mark.parametrize("m", [HALF, HALF - 1], ids=["half", "odd"])
+def test_worst_case_magnitude_is_exact(i, m):
+    # x_j = +-m with the sign of the centered matrix entry in column i: every
+    # product adds to output i with the same sign, so the partial sums grow
+    # toward 2^52. (q-1)/2 = 1023 * 2^12 leaves the low 12 bits of every
+    # product zero; the odd m - 1 leaves none free.
+    root = pow(ROOT_OF_UNITY, 2 * _brv(i) + 1, Q)
+    x = np.array([m * _centered_sign(pow(root, j, Q)) for j in range(N)])
+    assert int(ring.ntt_values(x)[i]) == _ntt_by_definition(x, i)
+    fhat = np.array([m * _centered_sign(INV_N * pow(ROOT_OF_UNITY, -(2 * _brv(k) + 1) * i, Q))
+                     for k in range(N)])
+    assert int(ring.intt_values(fhat)[i]) == _intt_by_definition(fhat, i)
+
+
+@pytest.mark.parametrize("shape", [(), (5,), (2, 3)], ids=str)
+def test_transform_shapes_and_range(shape):
+    rng = np.random.default_rng(13)
+    x = rng.integers(-(1 << 40), 1 << 40, shape + (N,))
+    for f in (ring.ntt_values, ring.intt_values):
+        out = f(x)
+        assert out.shape == x.shape and out.dtype == np.int64
+        assert out.min() >= 0 and out.max() < Q
+        assert np.array_equal(out.reshape(-1, N), f(x.reshape(-1, N)))
+
+
+def test_transform_matrices_are_read_only():
+    for m in (ring._NTT_MATRIX, ring._INTT_MATRIX):
+        assert not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[0, 0] = 0.0

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,22 @@ def test_cross_backend_signatures_identical(keypairs, params):
 def test_deterministic_signing(keypairs, params):
     pk, sk = keypairs[params.level]
     assert scheme.sign(params, sk, b"x") == scheme.sign(params, sk, b"x")
+
+
+# sha256(pk + sk + sig) for keygen(bytes([level]) * 32) and a default-backend
+# signature of b"sparsedil KAT". Pinned, so a transform that is wrong but still
+# invertible (every backend and verify share it) cannot pass unnoticed.
+KAT_DIGESTS = {
+    2: "c98ad13cc5cf2e6b4bf5ee87d406d1f2dae19531367cc002f89a8609cf01d3fa",
+    3: "2b0cf4962c82bff727229a44c6bc19bd874ecc0bf9e02b31b5710f4287b5ffc8",
+    5: "e4d9fb95de3f3e7bad2d9c55a50f4f0d66cd9837e0a78b1361fd523364811475",
+}
+
+
+def test_known_answer_digests(keypairs, params):
+    pk, sk = keypairs[params.level]
+    sig = scheme.sign(params, sk, b"sparsedil KAT")
+    assert hashlib.sha256(pk + sk + sig).hexdigest() == KAT_DIGESTS[params.level]
 
 
 def test_randomized_signing_differs_but_verifies(keypairs):
