@@ -7,7 +7,8 @@ the NTT remains available as a backend and as a correctness oracle.
 """
 
 from .params import LEVELS, ParameterSet, param_set
-from .scheme import Backend, Dilithium, SignTrace, default_backend, keygen, sign, verify
+from .scheme import (Backend, Dilithium, SignTrace, SigningAttemptsExceeded, default_backend,
+                     keygen, sign, verify)
 
 __version__ = "0.1.0"
 
@@ -17,6 +18,7 @@ __all__ = [
     "LEVELS",
     "ParameterSet",
     "SignTrace",
+    "SigningAttemptsExceeded",
     "default_backend",
     "keygen",
     "param_set",

@@ -12,6 +12,7 @@ import argparse
 import binascii
 import os
 import sys
+import traceback
 
 import numpy as np
 
@@ -247,8 +248,11 @@ def cmd_selftest(args) -> int:
     for name, fn in _selftest_sections(levels, args.trials, rng):
         try:
             fn()
-        except AssertionError as e:
-            print(f"[FAIL] {name}: {e}")
+        except Exception as e:
+            # a section that raises is a failed section; the others still run
+            print(f"[FAIL] {name}: {type(e).__name__}: {e}")
+            if not isinstance(e, AssertionError):
+                traceback.print_exc(file=sys.stderr)
             failures += 1
             continue
         print(f"[ok] {name} (trials={args.trials})")

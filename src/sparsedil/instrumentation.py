@@ -16,7 +16,7 @@ from dataclasses import dataclass
 @dataclass
 class Counters:
     modmul: int = 0        # general-width modular multiplications
-    xof_bytes: int = 0     # bytes squeezed out of SHAKE streams
+    xof_bytes: int = 0     # SHAKE output bytes requested
     swar_steps: int = 0    # packed-lane word steps of the byte-lane c*s kernel
 
     def snapshot(self) -> "Counters":

@@ -1,73 +1,17 @@
-"""SHAKE-128 / SHAKE-256 extendable-output functions with incremental I/O.
+"""One-shot SHAKE-128 / SHAKE-256 (FIPS 202), counted.
 
-The sponge permutation itself is delegated to the platform's vetted FIPS 202
-implementation (hashlib); this module layers the absorb/squeeze state machine
-on top and enforces its contract:
-
-  * absorbing is order-sensitive and streams: absorb(a); absorb(b) is
-    absorb(a || b)
-  * the first squeeze finalizes absorption (0x1F domain padding is applied
-    by the underlying XOF) and switches phase; absorbing afterwards is an
-    error
-  * squeezes stream: squeeze(n); squeeze(m) returns the first n+m bytes of
-    the output stream
+The sponge is the platform's vetted implementation (hashlib). Each call
+absorbs one whole message and returns a prefix of its output stream, so
+`shake(x, n + m)[:n] == shake(x, n)`: a caller that needs more output asks
+for a longer digest of the same message. Every output byte is added to the
+`instrumentation` XOF counter.
 """
 
 import hashlib
 
 from . import instrumentation
 
-RATES = {"shake128": 168, "shake256": 136}
-
-_CONSTRUCTORS = {"shake128": hashlib.shake_128, "shake256": hashlib.shake_256}
-
-
-class XofPhaseError(RuntimeError):
-    """Raised on absorb after squeezing has begun."""
-
-
-class Shake:
-    """One SHAKE stream. Independent instances share no state."""
-
-    def __init__(self, variant: str = "shake256"):
-        if variant not in RATES:
-            raise ValueError(f"unknown XOF variant {variant!r}; expected 'shake128' or 'shake256'")
-        self.variant = variant
-        self.rate = RATES[variant]
-        self._sponge = _CONSTRUCTORS[variant]()
-        self._read = 0
-        self._cache = b""
-        self.squeezing = False
-
-    @property
-    def phase(self) -> str:
-        return "squeezing" if self.squeezing else "absorbing"
-
-    @property
-    def position(self) -> int:
-        """Byte offset within the current rate-sized output block."""
-        return self._read % self.rate
-
-    def absorb(self, data: bytes) -> "Shake":
-        if self.squeezing:
-            raise XofPhaseError("cannot absorb after squeezing has begun")
-        self._sponge.update(data)
-        return self
-
-    def squeeze(self, count: int) -> bytes:
-        if count < 0:
-            raise ValueError("negative squeeze length")
-        self.squeezing = True
-        end = self._read + count
-        if end > len(self._cache):
-            # hashlib re-squeezes from the start on every digest() call;
-            # growing geometrically keeps the total work linear.
-            want = max(end, 2 * len(self._cache), self.rate)
-            self._cache = self._sponge.digest(want)
-        out = self._cache[self._read:end]
-        self._read = end
-        instrumentation.add_xof_bytes(count)
-        return out
+RATES = {"shake128": 168, "shake256": 136}   # output bytes per permutation
 
 
 def shake128(data: bytes, count: int) -> bytes:

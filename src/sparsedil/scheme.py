@@ -37,6 +37,17 @@ from .sampling import expand_a, expand_mask, expand_s, sample_in_ball
 from .sparse import encode_challenge, fused_r0, fused_z, r0_check, z_check
 
 
+# Every level accepts an attempt with probability about 0.2 or more (1/5.1 at
+# level 3 in the round-3 analysis), so (1 - 1/5.1)**1000 < 2**-300 bounds the
+# chance that a valid key exhausts the limit. The largest mask nonce,
+# MAX_SIGN_ATTEMPTS * l - 1 < 7000, stays below its 2-byte ceiling of 65536.
+MAX_SIGN_ATTEMPTS = 1000
+
+
+class SigningAttemptsExceeded(RuntimeError):
+    """No attempt within MAX_SIGN_ATTEMPTS passed the checks; nothing is signed."""
+
+
 class Backend(enum.Enum):
     NTT = "ntt"
     SPARSE = "sparse"
@@ -105,7 +116,11 @@ def keygen(params: ParameterSet, zeta: bytes) -> tuple[bytes, bytes]:
 def sign(params: ParameterSet, sk: bytes, message: bytes,
          backend=None, randomized: bool = False,
          trace: SignTrace | None = None) -> bytes:
-    """Produce a signature; loops internally until an attempt is accepted."""
+    """Produce a signature; loops internally until an attempt is accepted.
+
+    Raises SigningAttemptsExceeded, and returns nothing, if MAX_SIGN_ATTEMPTS
+    attempts all fail; with a valid key the odds are below 2**-300.
+    """
     backend = _coerce_backend(backend if backend is not None else default_backend(params.level))
     dec = codec.sk_decode_extended(sk, params)
     if trace is not None:
@@ -122,11 +137,9 @@ def sign(params: ParameterSet, sk: bytes, message: bytes,
              if ntt_products else None)
 
     gamma2, alpha = params.gamma2, params.alpha
-    kappa = 0
-    while True:
+    for attempt in range(MAX_SIGN_ATTEMPTS):
         checks: list[str] = []
-        y = expand_mask(rho_pp, kappa, params).coeffs.astype(np.int64)
-        kappa += params.l
+        y = expand_mask(rho_pp, attempt * params.l, params).coeffs.astype(np.int64)
         w = intt_values(_ntt_product(A.coeffs, ntt_values(y)))
         w1 = decompose(w, alpha)[0]
         c_tilde = shake256(mu + codec.pack_w1(w1, params), 32)
@@ -156,6 +169,7 @@ def sign(params: ParameterSet, sk: bytes, message: bytes,
         if trace is not None:
             trace.iterations.append(checks)
             trace.restarts += 1
+    raise SigningAttemptsExceeded(f"no signature after {MAX_SIGN_ATTEMPTS} attempts")
 
 
 _CHECK_ORDER = {

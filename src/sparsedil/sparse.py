@@ -56,13 +56,13 @@ def packed_sub_lanes(x, y):
 
 def encode_challenge(c, tau: int) -> np.ndarray:
     """Encode a weight-tau challenge as its (tau+1)-byte index list."""
-    c = np.asarray(c, dtype=np.int64)
+    c = np.asarray(c)
     if c.shape != (N,):
         raise ValueError(f"challenge must have {N} coefficients")
-    if np.any((c < -1) | (c > 1)):
-        raise ValueError("challenge coefficients must lie in {-1, 0, 1}")
     pos = np.flatnonzero(c == 1)
     neg = np.flatnonzero(c == -1)
+    if np.count_nonzero(c) != len(pos) + len(neg):
+        raise ValueError("challenge coefficients must lie in {-1, 0, 1}")
     if len(pos) + len(neg) != tau:
         raise ValueError(f"challenge has weight {len(pos) + len(neg)}, expected {tau}")
     index = np.empty(tau + 1, dtype=np.uint8)

@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from sparsedil import bench, cli, ring, sparse
+from sparsedil import bench, cli, ring, rounding, sparse
 from sparsedil.params import N, Q
 
 SEED_HEX = "00" * 32
@@ -190,6 +190,19 @@ def test_selftest_names_lossy_transform(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "[FAIL] ntt-exactness" in out
     assert "differs from its definition" in out
+    assert "1 self-test section(s) failed" in out
+
+
+def test_selftest_reports_any_exception_and_continues(monkeypatch, capsys):
+    def overflow(*args):
+        raise OverflowError("int too big to convert")
+
+    monkeypatch.setattr(rounding, "make_hint", overflow)
+    rc = run(["selftest", "--level", "2", "--trials", "2"])
+    assert rc == 3
+    out = capsys.readouterr().out
+    assert "[FAIL] hint-recovery-level2: OverflowError: int too big to convert" in out
+    assert "[ok] sign-verify-level2" in out
     assert "1 self-test section(s) failed" in out
 
 

@@ -1,7 +1,7 @@
-import pytest
 from hypothesis import given, strategies as st
 
-from sparsedil.keccak import RATES, Shake, XofPhaseError, shake128, shake256
+from sparsedil import instrumentation
+from sparsedil.keccak import RATES, shake128, shake256
 
 # Published FIPS 202 vectors for the empty message.
 SHAKE128_EMPTY_16 = bytes.fromhex("7f9c2ba4e88f827d616045507605853e")
@@ -10,71 +10,37 @@ SHAKE256_EMPTY_32 = bytes.fromhex(
 
 
 def test_rates():
-    assert Shake("shake128").rate == 168
-    assert Shake("shake256").rate == 136
     assert RATES == {"shake128": 168, "shake256": 136}
 
 
-def test_unknown_variant():
-    with pytest.raises(ValueError, match="variant"):
-        Shake("shake512")
-
-
 def test_known_answers():
-    assert Shake("shake128").squeeze(16) == SHAKE128_EMPTY_16
-    assert Shake("shake256").squeeze(32) == SHAKE256_EMPTY_32
     assert shake128(b"", 16) == SHAKE128_EMPTY_16
     assert shake256(b"", 32) == SHAKE256_EMPTY_32
 
 
 def test_independent_states():
-    a, b = Shake("shake256"), Shake("shake256")
-    a.absorb(b"x")
-    assert a.squeeze(8) != b.squeeze(8)
-
-
-def test_absorb_empty_is_identity():
-    a = Shake("shake256").absorb(b"seed")
-    b = Shake("shake256").absorb(b"seed").absorb(b"")
-    assert a.squeeze(64) == b.squeeze(64)
-
-
-def test_absorb_after_squeeze_rejected():
-    x = Shake("shake256")
-    x.absorb(b"data")
-    x.squeeze(1)
-    assert x.phase == "squeezing"
-    with pytest.raises(XofPhaseError):
-        x.absorb(b"more")
+    assert shake256(b"x", 8) != shake256(b"", 8)
+    assert shake128(b"x", 8) != shake256(b"x", 8)
 
 
 def test_squeeze_zero():
-    assert Shake("shake128").squeeze(0) == b""
-
-
-def test_position_tracks_block_offset():
-    x = Shake("shake256")
-    x.squeeze(10)
-    assert x.position == 10
-    x.squeeze(136)
-    assert x.position == 10
-
-
-@given(st.binary(max_size=300), st.integers(0, 299))
-def test_absorb_streaming_law(data, cut):
-    cut = min(cut, len(data))
-    whole = Shake("shake256").absorb(data).squeeze(48)
-    split = Shake("shake256").absorb(data[:cut]).absorb(data[cut:]).squeeze(48)
-    assert whole == split
+    assert shake128(b"", 0) == b"" and shake256(b"", 0) == b""
 
 
 @given(st.binary(max_size=64), st.integers(0, 400), st.integers(0, 400))
 def test_squeeze_streaming_law(data, n, m):
-    one = Shake("shake256").absorb(data).squeeze(n + m)
-    x = Shake("shake256").absorb(data)
-    assert x.squeeze(n) + x.squeeze(m) == one
+    # the samplers' extension rule: a longer digest starts with the shorter one
+    assert shake256(data, n + m)[:n] == shake256(data, n)
+    assert shake128(data, n + m)[:n] == shake128(data, n)
 
 
 def test_deterministic_across_instances():
     s = b"\x01\x02" * 40
-    assert Shake("shake128").absorb(s).squeeze(500) == Shake("shake128").absorb(s).squeeze(500)
+    assert shake128(s, 500) == shake128(s, 500)
+
+
+def test_output_bytes_are_counted():
+    with instrumentation.counting() as cn:
+        shake128(b"a", 168)
+        shake256(b"a", 5)
+    assert cn.xof_bytes == 173

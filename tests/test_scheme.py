@@ -367,3 +367,27 @@ def test_dilithium_wrapper_roundtrip():
     assert d.verify(pk, b"wrapped", sig)
     assert d.backend is Backend.SPARSE_FUSED
     assert Dilithium(3).backend is Backend.SPARSE_FUSED
+
+
+def test_sign_fails_closed_after_attempt_limit(keypairs, monkeypatch):
+    p = param_set(2)
+    calls = []
+
+    def always_reject(index, ext, w, gamma2, bound):
+        calls.append(1)
+        return sparse.FusedR0(False, None, 0)
+
+    monkeypatch.setattr(scheme, "MAX_SIGN_ATTEMPTS", 3)
+    monkeypatch.setattr(scheme, "fused_r0", always_reject)
+    tr = SignTrace()
+    with pytest.raises(scheme.SigningAttemptsExceeded, match="3 attempts"):
+        scheme.sign(p, keypairs[2][1], b"m", trace=tr)
+    assert len(calls) == 3
+    assert tr.iterations == [["r0"]] * 3 and tr.restarts == 3
+
+
+def test_attempt_limit_fits_nonce_and_odds():
+    # the largest mask nonce fits 2 bytes at every level; with acceptance
+    # >= 1/5.1 per attempt a valid key exhausts the limit with odds < 2^-128
+    assert max(param_set(lv).l for lv in LEVELS) * scheme.MAX_SIGN_ATTEMPTS <= 65536
+    assert (1 - 1 / 5.1) ** scheme.MAX_SIGN_ATTEMPTS < 2.0 ** -128
