@@ -36,11 +36,19 @@ def pack_bits(values, width: int) -> bytes:
 
 
 def unpack_bits(data: bytes, width: int, count: int) -> np.ndarray:
+    """The first `count` fields of `width` bits, int64.
+
+    The bit-weight product runs in float32 (BLAS), which is exact because
+    every field is below 2^24; the codec's widest field has 20 bits.
+    """
+    if width > 24:
+        raise ValueError(f"field width {width} exceeds float32's 24-bit mantissa")
     bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
     if len(bits) < count * width:
         raise DecodeError("byte string too short for field count")
-    weights = np.int64(1) << np.arange(width, dtype=np.int64)
-    return bits[: count * width].reshape(count, width).astype(np.int64) @ weights
+    weights = (1 << np.arange(width)).astype(np.float32)
+    fields = bits[: count * width].reshape(count, width).astype(np.float32) @ weights
+    return fields.astype(np.int64)
 
 
 def _check_range(values: np.ndarray, lo: int, hi: int, what: str) -> None:

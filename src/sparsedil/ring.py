@@ -14,6 +14,20 @@ every product is below 2^44 in magnitude and every partial sum of 256 of
 them below 2^52 < 2^53: each addition is exact in IEEE float64, whatever
 order the BLAS sums in.
 
+`ntt_matvec` chains the signer's w = INTT(A o NTT(y)) for a block of masks
+without leaving float64. Between stages it reduces with x - q*rint(x/q):
+for an integer |x| < 2^52 the quotient x/q is off by at most 2^-24, so the
+result is exact, congruent to x, and at most (q+1)/2 in magnitude even if
+rint rounds the wrong way. Stage by stage, with A in [0, q) as sampled
+(|A| < 2^23) and |y| <= (q-1)/2:
+
+  NTT(y)       256 products < 2^44 each, sums < 2^52, reduced to <= (q+1)/2
+  A o NTT(y)   l <= 7 products < 2^45 each, sums < 2^48, reduced likewise
+  INTT         256 products < 2^44 each, sums < 2^52
+
+Every stage is an exact integer below 2^53, and the last one goes to
+[0, q) through int64 `% q`, which does not depend on any rounding.
+
 All operations are value-level: inputs are never mutated.
 """
 
@@ -128,6 +142,30 @@ def intt_values(fhat: np.ndarray) -> np.ndarray:
     """
     instrumentation.add_modmul(max(1, int(np.prod(np.shape(fhat)[:-1]))) * (128 * 8 + N))
     return _matmul_mod(fhat, _INTT_MATRIX)
+
+
+def _reduce(x: np.ndarray) -> np.ndarray:
+    """x - q*rint(x/q) for integer float64 |x| < 2^52; exact, magnitude <= (q+1)/2."""
+    return x - Q * np.rint(x / Q)
+
+
+def ntt_matvec(a_hat: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """w = INTT(A o NTT(y)), summed over l, for a block of vectors at once.
+
+    `a_hat` is the (k, l, 256) NTT-domain matrix as float64 with entries of
+    magnitude below q (cast once by the caller), `y` a (b, l, 256) block of
+    centered vectors, each |y| <= (q-1)/2. Returns (b, k, 256) int64 in
+    [0, q), exact by the module's bound. Counted as the butterfly path it
+    replaces: l forward transforms, k*l pointwise products and k inverse
+    transforms per vector.
+    """
+    b, l = y.shape[:2]
+    k = a_hat.shape[0]
+    instrumentation.add_modmul(b * (l * 128 * 8 + k * l * N + k * (128 * 8 + N)))
+    y_hat = _reduce(np.asarray(y, dtype=np.float64).reshape(-1, N) @ _NTT_MATRIX)
+    acc = _reduce(np.einsum("kln,bln->bkn", a_hat, y_hat.reshape(b, l, N)))
+    w = acc.reshape(-1, N) @ _INTT_MATRIX
+    return w.astype(np.int64).reshape(b, k, N) % Q
 
 
 def _require(cond: bool, msg: str) -> None:

@@ -19,6 +19,17 @@ c*t0 always goes through the NTT: t0 coefficients do not fit signed bytes.
 The byte-lane backends transform c only once z and r0 have accepted.
 The lane products are exact at every level, so all three backends produce
 byte-identical signatures, and sparse_fused is the default everywhere.
+
+Attempts run in speculative blocks of SIGN_BLOCK. Attempts are independent
+until their checks run, so a block draws all its masks, computes every
+w = A*y in one exact float64 chain (`ring.ntt_matvec`) and packs every w1
+at once. The hash, the challenge and the checks then run one attempt at a
+time in kappa order, and the first attempt that passes is signed: the
+output is the sequential signer's, and a trace lists only the attempts up
+to the accepted one. Masks are drawn last attempt first, so a block's last
+`expand_mask` call, its first `decompose` call and the `sample_in_ball`
+call after that all belong to one attempt (the benchmark's tracer pairs
+them up as one attempt's kernel inputs).
 """
 
 import enum
@@ -30,7 +41,7 @@ import numpy as np
 from . import codec, instrumentation
 from .keccak import shake256
 from .params import N, Q, ParameterSet, param_set
-from .ring import center, intt_values, ntt_values
+from .ring import center, intt_values, ntt_matvec, ntt_values
 from .rounding import (decompose, hint_weight, make_hint, norm_inf_exceeds,
                        power2round, use_hint)
 from .sampling import expand_a, expand_mask, expand_s, sample_in_ball
@@ -42,6 +53,11 @@ from .sparse import encode_challenge, fused_r0, fused_z, r0_check, z_check
 # chance that a valid key exhausts the limit. The largest mask nonce,
 # MAX_SIGN_ATTEMPTS * l - 1 < 7000, stays below its 2-byte ceiling of 65536.
 MAX_SIGN_ATTEMPTS = 1000
+
+# Attempts computed together before their checks run. At about four attempts
+# per signature, two amortize the per-call overhead of the mask, w = A*y and
+# w1 packing stages; larger blocks waste more work on attempts never checked.
+SIGN_BLOCK = 2
 
 
 class SigningAttemptsExceeded(RuntimeError):
@@ -126,7 +142,7 @@ def sign(params: ParameterSet, sk: bytes, message: bytes,
     if trace is not None:
         trace.decode_calls += 1
 
-    A = expand_a(dec.rho, params)
+    a_hat = expand_a(dec.rho, params).coeffs.astype(np.float64)
     mu = shake256(dec.tr + message, 64)
     rho_pp = os.urandom(64) if randomized else shake256(dec.key + mu, 64)
 
@@ -137,12 +153,9 @@ def sign(params: ParameterSet, sk: bytes, message: bytes,
              if ntt_products else None)
 
     gamma2, alpha = params.gamma2, params.alpha
-    for attempt in range(MAX_SIGN_ATTEMPTS):
+    for y, w, w1_packed in _speculative_attempts(params, a_hat, rho_pp):
         checks: list[str] = []
-        y = expand_mask(rho_pp, attempt * params.l, params).coeffs.astype(np.int64)
-        w = intt_values(_ntt_product(A.coeffs, ntt_values(y)))
-        w1 = decompose(w, alpha)[0]
-        c_tilde = shake256(mu + codec.pack_w1(w1, params), 32)
+        c_tilde = shake256(mu + w1_packed, 32)
         c = sample_in_ball(c_tilde, params.tau)
         # byte-lane backends need ntt(c) only for c*t0, after z and r0 accept
         c_hat = ntt_values(c) if ntt_products else None
@@ -172,6 +185,24 @@ def sign(params: ParameterSet, sk: bytes, message: bytes,
     raise SigningAttemptsExceeded(f"no signature after {MAX_SIGN_ATTEMPTS} attempts")
 
 
+def _speculative_attempts(params, a_hat, rho_pp):
+    """Yield (y, w, packed w1) of attempts 0 .. MAX_SIGN_ATTEMPTS-1 in kappa order.
+
+    Each block of SIGN_BLOCK attempts is computed when its first attempt is
+    asked for: its masks (last attempt first), w = A*y for all of them in
+    one chain, and one packing of their w1, sliced per attempt.
+    """
+    for first in range(0, MAX_SIGN_ATTEMPTS, SIGN_BLOCK):
+        kappas = range(first, min(first + SIGN_BLOCK, MAX_SIGN_ATTEMPTS))
+        ys = np.stack([expand_mask(rho_pp, kappa * params.l, params).coeffs
+                       for kappa in reversed(kappas)][::-1])
+        ws = ntt_matvec(a_hat, ys)
+        w1_bytes = codec.pack_w1(np.stack([decompose(w, params.alpha)[0] for w in ws]), params)
+        size = len(w1_bytes) // len(kappas)
+        for i in range(len(kappas)):
+            yield ys[i], ws[i], w1_bytes[i * size:(i + 1) * size]
+
+
 _CHECK_ORDER = {
     Backend.NTT: ("z", "r0"),
     Backend.SPARSE: ("z", "r0"),
@@ -179,14 +210,20 @@ _CHECK_ORDER = {
 }
 
 
-def _charge(trace, check, modmuls):
-    """Add a check's product multiplications to the trace: z owns c*s1, r0 c*s2."""
+def _charged(trace, check, run):
+    """run(), charging its product multiplications to the trace: z owns c*s1, r0 c*s2.
+
+    Without a trace it is a plain call: no counting scope is entered.
+    """
     if trace is None:
-        return
+        return run()
+    with instrumentation.counting() as cn:
+        out = run()
     if check == "z":
-        trace.cs1_modmuls += modmuls
+        trace.cs1_modmuls += cn.modmul
     else:
-        trace.cs2_modmuls += modmuls
+        trace.cs2_modmuls += cn.modmul
+    return out
 
 
 def _attempt(params, backend, dec, y, w, c, c_hat, s_hat, checks, trace):
@@ -198,11 +235,9 @@ def _attempt(params, backend, dec, y, w, c, c_hat, s_hat, checks, trace):
     gamma2 = params.gamma2
     z_bound, r0_bound = params.gamma1 - params.beta, gamma2 - params.beta
     if backend is Backend.NTT:
-        cs = {}
-        for check, s in zip(("z", "r0"), s_hat):
-            with instrumentation.counting() as cn:
-                cs[check] = center(intt_values(_ntt_product(c_hat, s)))
-            _charge(trace, check, cn.modmul)
+        cs = {check: _charged(trace, check,
+                              lambda s=s: center(intt_values(_ntt_product(c_hat, s))))
+              for check, s in zip(("z", "r0"), s_hat)}
         run = {"z": lambda: z_check(y, cs["z"], z_bound),
                "r0": lambda: r0_check(w, cs["r0"], gamma2, r0_bound)}
     else:
@@ -213,9 +248,7 @@ def _attempt(params, backend, dec, y, w, c, c_hat, s_hat, checks, trace):
     done = {}
     for check in _CHECK_ORDER[backend]:
         checks.append(check)
-        with instrumentation.counting() as cn:
-            done[check] = run[check]()
-        _charge(trace, check, cn.modmul)
+        done[check] = _charged(trace, check, run[check])
         if not done[check].ok:
             return False, None, None
     return True, done["z"].z, done["r0"].cs2

@@ -73,23 +73,6 @@ def encode_challenge(c, tau: int) -> np.ndarray:
     return index
 
 
-def decode_challenge(index, tau: int) -> np.ndarray:
-    """Rebuild the +-1 challenge polynomial from its index list."""
-    index = np.asarray(index, dtype=np.uint8)
-    if index.shape != (tau + 1,):
-        raise ValueError(f"index list must have {tau + 1} entries")
-    poscnt = int(index[0])
-    if poscnt > tau:
-        raise ValueError(f"positive count {poscnt} exceeds weight {tau}")
-    slots = index[1:]
-    if len(np.unique(slots)) != tau:
-        raise ValueError("duplicate challenge indices")
-    c = np.zeros(N, dtype=np.int8)
-    c[slots[:poscnt]] = 1
-    c[slots[poscnt:]] = -1
-    return c
-
-
 def extend_secret(s, eta: int) -> np.ndarray:
     """Widen small secret polynomials to the 512-entry (-s, s) int8 layout.
 

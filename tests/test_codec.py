@@ -56,6 +56,28 @@ def test_roundtrip_10k_arrays(codec_name):
     assert np.array_equal(back, vals)
 
 
+@pytest.mark.parametrize("width", [3, 4, 10, 13, 18, 20])
+def test_unpack_bits_matches_int64_reference(width):
+    # the float32 product must equal an int64 one, at the all-ones maximum too
+    rng = np.random.default_rng(width)
+    count = 1024
+    for data in (b"\xff" * (count * width // 8),
+                 rng.integers(0, 256, count * width // 8 + 3, dtype=np.uint8).tobytes()):
+        bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
+        want = bits[:count * width].reshape(count, width).astype(np.int64) @ (
+            np.int64(1) << np.arange(width, dtype=np.int64))
+        got = codec.unpack_bits(data, width, count)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+    assert codec.unpack_bits(b"\xff" * width, width, 8).tolist() == [(1 << width) - 1] * 8
+    with pytest.raises(codec.DecodeError, match="too short"):
+        codec.unpack_bits(bytes(count * width // 8 - 1), width, count)
+
+
+def test_unpack_bits_rejects_fields_float32_cannot_hold():
+    with pytest.raises(ValueError, match="24"):
+        codec.unpack_bits(bytes(32), 25, 8)
+
+
 def test_byte_image_roundtrip():
     # pack(unpack(bytes)) is the identity on the byte side where every bit
     # pattern is a valid field (t0, t1, z); offset codecs with slack fields

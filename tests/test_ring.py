@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sparsedil import ring
+from sparsedil import instrumentation, ring
 from sparsedil.params import N, Q, ROOT_OF_UNITY
 from sparsedil.ring import Domain, Poly, PolyVec
 
@@ -231,3 +231,48 @@ def test_transform_matrices_are_read_only():
         assert not m.flags.writeable
         with pytest.raises(ValueError):
             m[0, 0] = 0.0
+
+
+def _matvec_by_int64(a_hat, y):
+    """The int64 reference for ntt_matvec: transform, product mod q, inverse, per vector."""
+    a64 = np.asarray(a_hat, dtype=np.int64)
+    return np.stack([ring.intt_values((a64 * ring.ntt_values(v)).sum(axis=1) % Q) for v in y])
+
+
+@pytest.mark.parametrize("k, l, gamma1", [(4, 4, 1 << 17), (6, 5, 1 << 19), (8, 7, 1 << 19)],
+                         ids=["level2", "level3", "level5"])
+def test_ntt_matvec_matches_int64_path_at_worst_case(k, l, gamma1):
+    rng = np.random.default_rng(k * 10 + l)
+    half = (Q - 1) // 2
+    sign = rng.choice([-1, 1], (k, l, N))
+    a_hat = sign * half % Q                               # centered +-(q-1)/2
+    y = [rng.choice([-gamma1, gamma1], (l, N)),
+         np.full((l, N), gamma1), np.full((l, N), -gamma1)]
+    # y whose transform is +-(q-1)/2 with the sign of A's first row: every
+    # product of that row adds (q-1)^2/4, the largest pointwise sum
+    y.append(ring.center(ring.intt_values(sign[0] * half % Q)))
+    y = np.stack(y)
+    a_float = ring.center(a_hat).astype(np.float64)
+    with instrumentation.counting() as cn:
+        got = ring.ntt_matvec(a_float, y)
+    with instrumentation.counting() as ref_cn:
+        want = _matvec_by_int64(a_hat, y)
+    assert got.dtype == np.int64 and got.shape == (len(y), k, N)
+    assert np.array_equal(got, want)
+    # the butterfly model: the reference's transforms plus k*l pointwise products
+    assert cn.modmul == ref_cn.modmul + len(y) * k * l * N
+    for a in (np.full((k, l, N), half), np.full((k, l, N), Q - half)):
+        assert np.array_equal(ring.ntt_matvec(ring.center(a).astype(np.float64), y),
+                              _matvec_by_int64(a, y))
+    # the signer passes A as sampled, in [0, q): q - 1 is the largest entry
+    for a in (np.full((k, l, N), Q - 1), a_hat):
+        assert np.array_equal(ring.ntt_matvec(a.astype(np.float64), y), _matvec_by_int64(a, y))
+
+
+def test_ntt_matvec_random_blocks():
+    rng = np.random.default_rng(21)
+    for b in (1, 2, 3):
+        a_hat = rng.integers(0, Q, (3, 2, N))
+        y = rng.integers(-((Q - 1) // 2), (Q - 1) // 2 + 1, (b, 2, N))
+        got = ring.ntt_matvec(ring.center(a_hat).astype(np.float64), y)
+        assert np.array_equal(got, _matvec_by_int64(a_hat, y))

@@ -377,13 +377,17 @@ def test_sign_fails_closed_after_attempt_limit(keypairs, monkeypatch):
         calls.append(1)
         return sparse.FusedR0(False, None, 0)
 
-    monkeypatch.setattr(scheme, "MAX_SIGN_ATTEMPTS", 3)
     monkeypatch.setattr(scheme, "fused_r0", always_reject)
-    tr = SignTrace()
-    with pytest.raises(scheme.SigningAttemptsExceeded, match="3 attempts"):
-        scheme.sign(p, keypairs[2][1], b"m", trace=tr)
-    assert len(calls) == 3
-    assert tr.iterations == [["r0"]] * 3 and tr.restarts == 3
+    # neither limit is a multiple of the block size: the last block is cut short
+    for limit in (3, 1):
+        assert limit % scheme.SIGN_BLOCK
+        calls.clear()
+        monkeypatch.setattr(scheme, "MAX_SIGN_ATTEMPTS", limit)
+        tr = SignTrace()
+        with pytest.raises(scheme.SigningAttemptsExceeded, match=f"{limit} attempts"):
+            scheme.sign(p, keypairs[2][1], b"m", trace=tr)
+        assert len(calls) == limit
+        assert tr.iterations == [["r0"]] * limit and tr.restarts == limit
 
 
 def test_attempt_limit_fits_nonce_and_odds():
@@ -391,3 +395,39 @@ def test_attempt_limit_fits_nonce_and_odds():
     # >= 1/5.1 per attempt a valid key exhausts the limit with odds < 2^-128
     assert max(param_set(lv).l for lv in LEVELS) * scheme.MAX_SIGN_ATTEMPTS <= 65536
     assert (1 - 1 / 5.1) ** scheme.MAX_SIGN_ATTEMPTS < 2.0 ** -128
+
+
+def test_block_size_does_not_change_signatures(keypairs, params, monkeypatch):
+    pk, sk = keypairs[params.level]
+    runs = {}
+    for block in (1, 2, 3):
+        monkeypatch.setattr(scheme, "SIGN_BLOCK", block)
+        sig = scheme.sign(params, sk, b"sparsedil KAT")
+        assert hashlib.sha256(pk + sk + sig).hexdigest() == KAT_DIGESTS[params.level]
+        out = []
+        for i in range(6):
+            for backend in (BACKENDS if i == 0 else [None]):
+                tr = SignTrace()
+                out.append((scheme.sign(params, sk, b"block %d" % i, backend=backend, trace=tr),
+                            tr.iterations, tr.restarts))
+        runs[block] = out
+    assert runs[1] == runs[2] == runs[3]
+    assert any(restarts >= 2 for _, _, restarts in runs[1])
+
+
+def test_untraced_sign_enters_no_counting_scope(keypairs, monkeypatch):
+    from sparsedil import instrumentation
+    p = param_set(2)
+    scopes = []
+    real = instrumentation.counting
+
+    def recording():
+        scopes.append(1)
+        return real()
+
+    monkeypatch.setattr(instrumentation, "counting", recording)
+    for backend in BACKENDS:
+        scheme.sign(p, keypairs[2][1], b"untraced", backend=backend)
+    assert scopes == []
+    scheme.sign(p, keypairs[2][1], b"untraced", trace=SignTrace())
+    assert scopes
