@@ -20,7 +20,7 @@ from . import analysis, bench, codec, ring, rounding, scheme, sparse
 from .params import LEVELS, N, Q, ROOT_OF_UNITY, param_set
 from .scheme import Backend
 
-_BACKEND_CHOICES = ("ntt", "sparse", "sparse-fused")
+_BACKEND_CHOICES = tuple(b.value.replace("_", "-") for b in Backend)
 
 
 class CliError(Exception):

@@ -17,10 +17,9 @@ from dataclasses import dataclass
 class Counters:
     modmul: int = 0        # general-width modular multiplications
     xof_bytes: int = 0     # SHAKE output bytes requested
-    swar_steps: int = 0    # packed-lane word steps of the byte-lane c*s kernel
 
     def snapshot(self) -> "Counters":
-        return Counters(self.modmul, self.xof_bytes, self.swar_steps)
+        return Counters(self.modmul, self.xof_bytes)
 
 
 _active: ContextVar[tuple[Counters, ...]] = ContextVar("sparsedil_counters", default=())
@@ -34,11 +33,6 @@ def add_modmul(count: int) -> None:
 def add_xof_bytes(count: int) -> None:
     for c in _active.get():
         c.xof_bytes += count
-
-
-def add_swar_steps(count: int) -> None:
-    for c in _active.get():
-        c.swar_steps += count
 
 
 @contextmanager

@@ -22,16 +22,15 @@ def power2round(r, d: int = D):
 def decompose(r, alpha: int):
     """Split r = r1 * alpha + r0 (mod q) with centered r0 in (-alpha/2, alpha/2].
 
-    The q-1 boundary is folded down: when r - r0 == q - 1 the high part
-    wraps to 0 and r0 is decremented, keeping r1 in [0, (q-1)/alpha).
+    Rounds half down: r1 = ceil((r - alpha/2) / alpha). The q-1 boundary is
+    folded down: when r1 == (q-1)/alpha the high part wraps to 0 and r0 is
+    decremented, keeping r1 in [0, (q-1)/alpha).
     """
     r = np.asarray(r, dtype=np.int64)
-    r0 = r % alpha
-    r0 = np.where(r0 > alpha // 2, r0 - alpha, r0)
-    boundary = (r - r0) == Q - 1
-    r1 = np.where(boundary, 0, (r - r0) // alpha)
-    r0 = np.where(boundary, r0 - 1, r0)
-    return r1, r0
+    r1 = (r + (alpha // 2 - 1)) // alpha
+    r0 = r - r1 * alpha
+    top = r1 == (Q - 1) // alpha
+    return np.where(top, 0, r1), r0 - top
 
 
 def lowbits_exceeds(r, alpha: int, bound: int):
@@ -81,9 +80,7 @@ def hint_weight(h) -> int:
 def norm_inf_exceeds(v, bound: int) -> bool:
     """True iff any centered coefficient magnitude is >= bound.
 
-    Accepts reduced [0, q) or centered values; Poly/PolyVec wrappers are
-    unwrapped. The comparison is non-strict to match the rejection rule
-    "reject when the norm reaches the bound".
+    Accepts reduced [0, q) or centered values. The comparison is non-strict
+    to match the rejection rule "reject when the norm reaches the bound".
     """
-    coeffs = getattr(v, "coeffs", v)
-    return bool(np.any(np.abs(center(coeffs)) >= bound))
+    return bool(np.any(np.abs(center(v)) >= bound))

@@ -18,10 +18,10 @@ import functools
 
 import numpy as np
 
-from .codec import unpack_z
+from .codec import unpack_z, z_packed_bytes
 from .keccak import RATES, shake128, shake256
 from .params import N, Q, ParameterSet
-from .ring import Domain, PolyMat, PolyVec
+from .ring import Domain, Poly
 
 # Initial digest lengths. Five blocks give 280 draws, of which 256 fall below
 # q for all but ~1e-40 of rows. eta 2 accepts 15 of 16 nibbles, so two
@@ -67,7 +67,7 @@ def _below_q(buf: np.ndarray):
 
 
 @functools.lru_cache(maxsize=16)
-def expand_a(rho: bytes, params: ParameterSet) -> PolyMat:
+def expand_a(rho: bytes, params: ParameterSet) -> Poly:
     """The public k x l matrix, sampled directly in the NTT domain.
 
     Entry (i, j) rejection-samples 23-bit chunks below q from SHAKE-128 of
@@ -78,7 +78,7 @@ def expand_a(rho: bytes, params: ParameterSet) -> PolyMat:
     k, l = params.k, params.l
     nonces = [(i << 8) + j for i in range(k) for j in range(l)]
     coeffs = _rejection_rows(shake128, RATES["shake128"], rho, nonces, _A_BYTES, _below_q)
-    mat = PolyMat(coeffs.reshape(k, l, N), Domain.NTT)
+    mat = Poly(coeffs.reshape(k, l, N), Domain.NTT)
     mat.coeffs.setflags(write=False)
     return mat
 
@@ -101,11 +101,10 @@ def expand_s(rho_prime: bytes, params: ParameterSet) -> tuple[np.ndarray, np.nda
     return s[:l], s[l:]
 
 
-def expand_mask(rho_prime: bytes, kappa: int, params: ParameterSet) -> PolyVec:
-    """Mask vector y with coefficients in (-gamma1, gamma1], nonces kappa..kappa+l-1."""
-    width = 18 if params.gamma1 == 1 << 17 else 20
-    buf = _digests(shake256, rho_prime, range(kappa, kappa + params.l), N * width // 8)
-    return PolyVec(unpack_z(buf.tobytes(), params).reshape(params.l, N), Domain.STANDARD)
+def expand_mask(rho_prime: bytes, kappa: int, params: ParameterSet) -> Poly:
+    """Mask vector y, (l, 256), with coefficients in (-gamma1, gamma1], nonces kappa..kappa+l-1."""
+    buf = _digests(shake256, rho_prime, range(kappa, kappa + params.l), z_packed_bytes(params))
+    return Poly(unpack_z(buf.tobytes(), params).reshape(params.l, N), Domain.STANDARD)
 
 
 def sample_in_ball(seed: bytes, tau: int) -> np.ndarray:

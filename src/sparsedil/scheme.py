@@ -41,7 +41,7 @@ import numpy as np
 from . import codec, instrumentation
 from .keccak import shake256
 from .params import N, Q, ParameterSet, param_set
-from .ring import center, intt_values, ntt_matvec, ntt_values
+from .ring import center, intt_values, matvec_hat, ntt_matvec, ntt_product, ntt_values
 from .rounding import (decompose, hint_weight, make_hint, norm_inf_exceeds,
                        power2round, use_hint)
 from .sampling import expand_a, expand_mask, expand_s, sample_in_ball
@@ -100,19 +100,6 @@ class SignTrace:
     accepted_cs1: np.ndarray | None = None
 
 
-def _ntt_product(a_hat: np.ndarray, b_hat: np.ndarray) -> np.ndarray:
-    """Counted NTT-domain product in [0, q).
-
-    A (k, l, 256) matrix times an (l, 256) vector gives A*v, summed over l;
-    otherwise the operands broadcast, as c_hat (256,) times rows (m, 256).
-    """
-    prod = np.asarray(a_hat, dtype=np.int64) * b_hat
-    instrumentation.add_modmul(prod.size)
-    if prod.ndim == 3:
-        prod = prod.sum(axis=1)
-    return prod % Q
-
-
 def keygen(params: ParameterSet, zeta: bytes) -> tuple[bytes, bytes]:
     """Expand a 32-byte seed into an encoded (public, secret) key pair."""
     if len(zeta) != 32:
@@ -121,7 +108,7 @@ def keygen(params: ParameterSet, zeta: bytes) -> tuple[bytes, bytes]:
     rho, rho_prime, key = seed[:32], seed[32:96], seed[96:128]
     A = expand_a(rho, params)
     s1, s2 = expand_s(rho_prime, params)
-    t = (intt_values(_ntt_product(A.coeffs, ntt_values(s1))) + s2) % Q
+    t = (intt_values(matvec_hat(A.coeffs, ntt_values(s1))) + s2) % Q
     t1, t0 = power2round(t)
     pk = codec.pk_encode(rho, t1, params)
     tr = shake256(pk, 32)
@@ -148,9 +135,9 @@ def sign(params: ParameterSet, sk: bytes, message: bytes,
 
     # per-call precomputation; restarts reuse all of it untouched
     t0_hat = ntt_values(dec.t0)
-    ntt_products = backend is Backend.NTT
+    on_ntt = backend is Backend.NTT
     s_hat = ((ntt_values(dec.s1_ext[:, N:]), ntt_values(dec.s2_ext[:, N:]))
-             if ntt_products else None)
+             if on_ntt else None)
 
     gamma2, alpha = params.gamma2, params.alpha
     for y, w, w1_packed in _speculative_attempts(params, a_hat, rho_pp):
@@ -158,14 +145,14 @@ def sign(params: ParameterSet, sk: bytes, message: bytes,
         c_tilde = shake256(mu + w1_packed, 32)
         c = sample_in_ball(c_tilde, params.tau)
         # byte-lane backends need ntt(c) only for c*t0, after z and r0 accept
-        c_hat = ntt_values(c) if ntt_products else None
+        c_hat = ntt_values(c) if on_ntt else None
 
         ok, z, cs2 = _attempt(params, backend, dec, y, w, c, c_hat, s_hat, checks, trace)
         if ok:
             if c_hat is None:
                 c_hat = ntt_values(c)
             # c*t0 stays on the NTT path (t0 exceeds the 8-bit range)
-            ct0 = center(intt_values(_ntt_product(c_hat, t0_hat)))
+            ct0 = center(intt_values(ntt_product(c_hat, t0_hat)))
             h = make_hint(-ct0, (w - cs2 + ct0) % Q, alpha)
             checks.append("ct0")
             if not norm_inf_exceeds(ct0, gamma2):
@@ -236,7 +223,7 @@ def _attempt(params, backend, dec, y, w, c, c_hat, s_hat, checks, trace):
     z_bound, r0_bound = params.gamma1 - params.beta, gamma2 - params.beta
     if backend is Backend.NTT:
         cs = {check: _charged(trace, check,
-                              lambda s=s: center(intt_values(_ntt_product(c_hat, s))))
+                              lambda s=s: center(intt_values(ntt_product(c_hat, s))))
               for check, s in zip(("z", "r0"), s_hat)}
         run = {"z": lambda: z_check(y, cs["z"], z_bound),
                "r0": lambda: r0_check(w, cs["r0"], gamma2, r0_bound)}
@@ -272,8 +259,7 @@ def verify(params: ParameterSet, pk: bytes, message: bytes, sig: bytes) -> bool:
     A = expand_a(rho, params)
     c_hat = ntt_values(sample_in_ball(c_tilde, params.tau))
     t1_hat = ntt_values(t1.astype(np.int64) << params.d)
-    w_approx = intt_values((_ntt_product(A.coeffs, ntt_values(z))
-                            - _ntt_product(c_hat, t1_hat)) % Q)
+    w_approx = intt_values(matvec_hat(A.coeffs, ntt_values(z)) - ntt_product(c_hat, t1_hat))
     w1 = use_hint(h, w_approx, params.alpha)
     return c_tilde == shake256(mu + codec.pack_w1(w1, params), 32)
 

@@ -29,7 +29,6 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from . import instrumentation
 from .params import N, Q
 from .ring import Domain, Poly
 from .rounding import lowbits_exceeds
@@ -153,7 +152,6 @@ def sparse_mul_branchless_vec(index, ext_rows: np.ndarray, tau: int) -> np.ndarr
         raise ValueError(f"index list must have {tau + 1} entries")
     if np.ndim(ext_rows) != 2:
         raise ValueError("extended secrets must be rows of 512 int8 or int16 lanes")
-    instrumentation.add_swar_steps(len(ext_rows) * tau * (N // 4))
     return _gather_product(index, ext_rows)
 
 
@@ -182,13 +180,13 @@ class FusedR0(NamedTuple):
 
 def z_check(y, prod: np.ndarray, bound: int) -> FusedZ:
     """z = y + c*s1 for a whole vector, rejected if any |z_i| >= bound."""
-    z = np.asarray(getattr(y, "coeffs", y), dtype=np.int64) + prod
+    z = np.asarray(y, dtype=np.int64) + prod
     return FusedZ(z, bool(np.abs(z).max() >= bound), z.shape[0] * _BLOCKS_PER_POLY)
 
 
 def r0_check(w, prod: np.ndarray, gamma2: int, bound: int) -> FusedR0:
     """Accepts c*s2 when |LowBits(w - c*s2, 2*gamma2)| < bound everywhere."""
-    w = np.asarray(getattr(w, "coeffs", w), dtype=np.int64)
+    w = np.asarray(w, dtype=np.int64)
     ok = not lowbits_exceeds((w - prod) % Q, 2 * gamma2, bound).any()
     return FusedR0(ok, prod.astype(np.int64, copy=False), w.shape[0] * _BLOCKS_PER_POLY)
 

@@ -9,10 +9,10 @@ def test_nested_scopes_all_see_each_event():
         with instrumentation.counting() as inner:
             instrumentation.add_modmul(5)
             instrumentation.add_xof_bytes(7)
-        instrumentation.add_swar_steps(11)
+        instrumentation.add_xof_bytes(11)
     instrumentation.add_modmul(100)          # no scope active: nobody counts
-    assert (inner.modmul, inner.xof_bytes, inner.swar_steps) == (5, 7, 0)
-    assert (outer.modmul, outer.xof_bytes, outer.swar_steps) == (8, 7, 11)
+    assert (inner.modmul, inner.xof_bytes) == (5, 7)
+    assert (outer.modmul, outer.xof_bytes) == (8, 18)
 
 
 def test_scopes_count_only_their_own_thread():

@@ -3,7 +3,7 @@ import pytest
 
 from sparsedil import instrumentation, ring
 from sparsedil.params import N, Q, ROOT_OF_UNITY
-from sparsedil.ring import Domain, Poly, PolyVec
+from sparsedil.ring import Domain, Poly
 
 
 def rand_poly(rng, lo=0, hi=Q):
@@ -139,7 +139,7 @@ def test_center_range():
 
 def test_polyvec_shares_domain():
     rng = np.random.default_rng(10)
-    vec = PolyVec(rng.integers(0, Q, (3, N)))
+    vec = Poly(rng.integers(0, Q, (3, N)))
     hat = ring.ntt(vec)
     assert hat.domain == Domain.NTT and hat.coeffs.shape == (3, N)
     back = ring.inv_ntt(hat)
@@ -267,6 +267,18 @@ def test_ntt_matvec_matches_int64_path_at_worst_case(k, l, gamma1):
     # the signer passes A as sampled, in [0, q): q - 1 is the largest entry
     for a in (np.full((k, l, N), Q - 1), a_hat):
         assert np.array_equal(ring.ntt_matvec(a.astype(np.float64), y), _matvec_by_int64(a, y))
+    # keygen and verify pass A as sampled and v_hat as ntt_values returns it,
+    # both uncentered: at q - 1 each sum of l = 7 products reaches 7(q-1)^2 ~ 2^48.8
+    top = np.full((k, 7, N), Q - 1)
+    for a, v in ((top, np.full((7, N), Q - 1)), (top, np.full((2, 7, N), Q - 1)),
+                 (a_hat, ring.ntt_values(y))):
+        with instrumentation.counting() as cn:
+            got = ring.matvec_hat(a.astype(np.int32), v)
+        want = (a * v[..., None, :, :]).sum(axis=-2) % Q
+        assert got.dtype == np.float64 and got.shape == v.shape[:-2] + (k, N)
+        assert np.abs(got).max() <= (Q + 1) // 2
+        assert np.array_equal(got.astype(np.int64) % Q, want)
+        assert cn.modmul == a.size * (v.size // a[0].size)      # k*l*256 per vector
 
 
 def test_ntt_matvec_random_blocks():
