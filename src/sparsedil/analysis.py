@@ -70,33 +70,31 @@ def signature_failure_probability(p: float, count: int = 256) -> float:
     return -math.expm1(count * math.log1p(-p))
 
 
+def _sampled_sums(eta: int, tau: int, trials: int, seed: int):
+    """Yield `trials` sampled tau-sums in chunks of at most 2^15; deterministic in seed."""
+    rng = np.random.default_rng(seed)
+    remaining = trials
+    while remaining:
+        m = min(remaining, 1 << 15)
+        yield rng.integers(-eta, eta + 1, size=(m, tau)).sum(axis=1)
+        remaining -= m
+
+
 def monte_carlo_overflow(eta: int, tau: int, bound: int, trials: int, seed: int) -> int:
     """Number of sampled tau-sums with |sum| > bound; deterministic in seed."""
     if trials < 1:
         raise ValueError("trials must be positive")
-    rng = np.random.default_rng(seed)
-    count = 0
-    remaining = trials
-    while remaining:
-        m = min(remaining, 1 << 15)
-        sums = rng.integers(-eta, eta + 1, size=(m, tau)).sum(axis=1)
-        count += int(np.count_nonzero(np.abs(sums) > bound))
-        remaining -= m
-    return count
+    return sum(int(np.count_nonzero(np.abs(sums) > bound))
+               for sums in _sampled_sums(eta, tau, trials, seed))
 
 
 def monte_carlo_histogram(eta: int, tau: int, trials: int, seed: int) -> dict[int, int]:
     """Sampled counts per sum value; companion oracle for the exact counts."""
-    rng = np.random.default_rng(seed)
     hist: dict[int, int] = {}
-    remaining = trials
-    while remaining:
-        m = min(remaining, 1 << 15)
-        sums = rng.integers(-eta, eta + 1, size=(m, tau)).sum(axis=1)
+    for sums in _sampled_sums(eta, tau, trials, seed):
         vals, cnts = np.unique(sums, return_counts=True)
         for v, c in zip(vals.tolist(), cnts.tolist()):
             hist[v] = hist.get(v, 0) + c
-        remaining -= m
     return hist
 
 

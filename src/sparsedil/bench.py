@@ -3,18 +3,22 @@
 Timing alone cannot support structural claims in interpreted code, so each
 sign row also reports the modular-multiplication count attributable to the
 c*s1/c*s2 products (zero for the byte-lane backends), XOF bytes consumed,
-and the mean restart count. Times are monotonic-clock seconds; warm-up
-iterations are discarded. The public matrix expansion is cached per seed,
-so sign/verify rows reflect steady-state operation with a resident key.
+and the mean restart count. Times are monotonic-clock seconds; the first
+WARMUP calls of each procedure are not reported. The verify rows check the
+signatures the sign rows made, so each message is signed once. The public
+matrix expansion is cached per seed, so sign/verify rows reflect
+steady-state operation with a resident key.
 """
 
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import instrumentation, scheme
 from .params import param_set
 from .scheme import Backend, SignTrace
+
+WARMUP = 2      # calls per procedure run before the reported ones
 
 
 @dataclass
@@ -29,85 +33,53 @@ class BenchRow:
     xof_bytes: float       # mean XOF output consumed per call
 
 
-_CSV_FIELDS = ("procedure", "backend", "iterations", "median_ms", "mean_ms",
-               "restarts", "cs_modmuls", "xof_bytes")
+_CSV_FIELDS = tuple(f.name for f in fields(BenchRow))
 
 
-def run_bench(level: int, backends=None, iterations: int = 10000,
-              warmup: int = 2) -> list[BenchRow]:
+def _measure(procedure: str, backend: Backend, iterations: int, call):
+    """Run call(i, trace) for i < WARMUP + iterations, each timed and counted.
+
+    Returns the row of the calls after the warm-up and every call's result;
+    `trace` is a fresh SignTrace per call, which only sign fills in.
+    """
+    results, times, stats = [], [], []
+    for i in range(WARMUP + iterations):
+        tr = SignTrace()
+        with instrumentation.counting() as cn:
+            t0 = time.perf_counter()
+            result = call(i, tr)
+            dt = time.perf_counter() - t0
+        results.append(result)
+        if i >= WARMUP:
+            times.append(dt)
+            stats.append((tr.restarts, tr.cs1_modmuls + tr.cs2_modmuls, cn.xof_bytes))
+    restarts, cs_modmuls, xof = map(statistics.fmean, zip(*stats))
+    row = BenchRow(procedure, backend.value, iterations, statistics.median(times) * 1e3,
+                   statistics.fmean(times) * 1e3, restarts, cs_modmuls, xof)
+    return row, results
+
+
+def run_bench(level: int, backends=None, iterations: int = 10000) -> list[BenchRow]:
     """Measure keygen/sign/verify for each backend at one security level."""
     params = param_set(level)
     if backends is None:
         backends = list(Backend)
-    backends = [scheme._coerce_backend(b) for b in backends]
     rows = []
-    message = b"bench message"
-    for bi, backend in enumerate(backends):
+    messages = [b"bench message" + i.to_bytes(4, "little") for i in range(WARMUP + iterations)]
+    for bi, backend in enumerate(scheme._coerce_backend(b) for b in backends):
         pk, sk = scheme.keygen(params, bytes(32))
-
-        # keygen; seeds stay unique across backend rows so the matrix
-        # expansion cache cannot flatter repeated runs
-        times, xof = [], []
-        for i in range(warmup + iterations):
-            seed = (bi * 1000003 + i + 1).to_bytes(32, "little")
-            with instrumentation.counting() as cn:
-                t0 = time.perf_counter()
-                scheme.keygen(params, seed)
-                dt = time.perf_counter() - t0
-            if i >= warmup:
-                times.append(dt)
-                xof.append(cn.xof_bytes)
-        rows.append(_row("keygen", backend, iterations, times, 0.0, 0.0,
-                         statistics.fmean(xof)))
-
-        # sign
-        times, xof, restarts, modmuls = [], [], [], []
-        for i in range(warmup + iterations):
-            tr = SignTrace()
-            with instrumentation.counting() as cn:
-                t0 = time.perf_counter()
-                sig = scheme.sign(params, sk, message + i.to_bytes(4, "little"),
-                                  backend=backend, trace=tr)
-                dt = time.perf_counter() - t0
-            if i >= warmup:
-                times.append(dt)
-                xof.append(cn.xof_bytes)
-                restarts.append(tr.restarts)
-                modmuls.append(tr.cs1_modmuls + tr.cs2_modmuls)
-        rows.append(_row("sign", backend, iterations, times,
-                         statistics.fmean(restarts), statistics.fmean(modmuls),
-                         statistics.fmean(xof)))
-
-        # verify
-        sigs = [scheme.sign(params, sk, message + i.to_bytes(4, "little"),
-                            backend=backend) for i in range(warmup + iterations)]
-        times, xof = [], []
-        for i, sig in enumerate(sigs):
-            with instrumentation.counting() as cn:
-                t0 = time.perf_counter()
-                ok = scheme.verify(params, pk, message + i.to_bytes(4, "little"), sig)
-                dt = time.perf_counter() - t0
-            if not ok:
-                raise RuntimeError("benchmark signature failed to verify")
-            if i >= warmup:
-                times.append(dt)
-                xof.append(cn.xof_bytes)
-        rows.append(_row("verify", backend, iterations, times, 0.0, 0.0,
-                         statistics.fmean(xof)))
+        # seeds stay unique across backend rows so the matrix expansion
+        # cache cannot flatter repeated runs
+        keygen, _ = _measure("keygen", backend, iterations, lambda i, tr: scheme.keygen(
+            params, (bi * 1000003 + i + 1).to_bytes(32, "little")))
+        sign, sigs = _measure("sign", backend, iterations, lambda i, tr: scheme.sign(
+            params, sk, messages[i], backend=backend, trace=tr))
+        verify, oks = _measure("verify", backend, iterations,
+                               lambda i, tr: scheme.verify(params, pk, messages[i], sigs[i]))
+        if not all(oks):
+            raise RuntimeError("benchmark signature failed to verify")
+        rows += [keygen, sign, verify]
     return rows
-
-
-def _row(procedure, backend, iterations, times, restarts, modmuls, xof) -> BenchRow:
-    return BenchRow(
-        procedure=procedure,
-        backend=backend.value,
-        iterations=iterations,
-        median_ms=statistics.median(times) * 1e3,
-        mean_ms=statistics.fmean(times) * 1e3,
-        restarts=restarts,
-        cs_modmuls=modmuls,
-        xof_bytes=xof,
-    )
 
 
 def format_table(rows: list[BenchRow]) -> str:
@@ -125,22 +97,14 @@ def format_table(rows: list[BenchRow]) -> str:
 
 
 def format_csv(rows: list[BenchRow]) -> str:
-    out = [",".join(_CSV_FIELDS)]
-    for r in rows:
-        out.append(",".join([r.procedure, r.backend, str(r.iterations),
-                             repr(r.median_ms), repr(r.mean_ms),
-                             repr(r.restarts), repr(r.cs_modmuls),
-                             repr(r.xof_bytes)]))
-    return "\n".join(out)
+    # str of a float is its repr, so every value round-trips through parse_csv
+    return "\n".join([",".join(_CSV_FIELDS)] +
+                     [",".join(str(getattr(r, f)) for f in _CSV_FIELDS) for r in rows])
 
 
 def parse_csv(text: str) -> list[BenchRow]:
     lines = [ln for ln in text.strip().splitlines() if ln]
     if lines[0] != ",".join(_CSV_FIELDS):
         raise ValueError("unexpected CSV header")
-    rows = []
-    for ln in lines[1:]:
-        proc, backend, iters, med, mean, rst, mm, xb = ln.split(",")
-        rows.append(BenchRow(proc, backend, int(iters), float(med),
-                             float(mean), float(rst), float(mm), float(xb)))
-    return rows
+    return [BenchRow(*(f.type(v) for f, v in zip(fields(BenchRow), ln.split(","), strict=True)))
+            for ln in lines[1:]]

@@ -264,8 +264,7 @@ def cmd_selftest(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    backends = args.backend or list(_BACKEND_CHOICES)
-    rows = bench.run_bench(args.level, backends=backends, iterations=args.iterations)
+    rows = bench.run_bench(args.level, backends=args.backend, iterations=args.iterations)
     if args.format == "csv":
         print(bench.format_csv(rows))
     else:
@@ -302,6 +301,16 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    """argparse type of a run count: below 1, a self-test or bench would check nothing."""
+    try:
+        if (value := int(text)) >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="sparsedil",
@@ -335,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     st = sub.add_parser("selftest", help="run the oracle-chain self tests")
     st.add_argument("--level", type=int, choices=LEVELS)
-    st.add_argument("--trials", type=int, default=200)
+    st.add_argument("--trials", type=_count, default=200)
     st.add_argument("--seed-int", type=int, default=0, dest="seed_int")
     st.set_defaults(fn=cmd_selftest)
 
@@ -343,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     bn.add_argument("--level", type=int, choices=LEVELS, required=True)
     bn.add_argument("--backend", action="append", choices=_BACKEND_CHOICES,
                     help="repeatable; default is all backends")
-    bn.add_argument("--iterations", type=int, default=50,
+    bn.add_argument("--iterations", type=_count, default=50,
                     help="timed runs per procedure and backend (default: %(default)s)")
     bn.add_argument("--format", choices=("text", "csv"), default="text")
     bn.set_defaults(fn=cmd_bench)

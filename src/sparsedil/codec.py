@@ -13,12 +13,11 @@ int8 where tau*eta fits a signed byte (levels 2 and 5) and int16 at level
 3, so every signing product is exact; `signing_layout` makes that choice.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .params import D, N, ParameterSet
+from .params import D, LEVELS, N, ParameterSet, param_set
 from .sparse import extend_secret
 
 
@@ -273,25 +272,17 @@ def sig_decode(sig: bytes, params: ParameterSet) -> tuple[bytes, np.ndarray, np.
 # ---------------------------------------------------------------------------
 # level inference for raw key files (byte lengths are unique per level)
 
-@functools.lru_cache(maxsize=1)
-def _size_maps():
-    from .params import LEVELS, param_set
-    pk, sk = {}, {}
-    for lv in LEVELS:
-        p = param_set(lv)
-        pk[pk_size(p)], sk[sk_size(p)] = lv, lv
-    return pk, sk
+_PK_LEVELS = {pk_size(param_set(lv)): lv for lv in LEVELS}
+_SK_LEVELS = {sk_size(param_set(lv)): lv for lv in LEVELS}
 
 
 def level_for_pk(pk: bytes) -> int:
-    m = _size_maps()[0]
-    if len(pk) not in m:
+    if len(pk) not in _PK_LEVELS:
         raise DecodeError(f"no security level has a {len(pk)}-byte public key")
-    return m[len(pk)]
+    return _PK_LEVELS[len(pk)]
 
 
 def level_for_sk(sk: bytes) -> int:
-    m = _size_maps()[1]
-    if len(sk) not in m:
+    if len(sk) not in _SK_LEVELS:
         raise DecodeError(f"no security level has a {len(sk)}-byte secret key")
-    return m[len(sk)]
+    return _SK_LEVELS[len(sk)]

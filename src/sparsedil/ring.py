@@ -19,14 +19,16 @@ order the BLAS sums in.
 `matvec_hat` is the one A o v stage, summed over l, in float64. Its
 operands are below q in magnitude (A as sampled in [0, q), v as
 `ntt_values` returns it or reduced), so every product is below 2^46 and
-every sum of at most l <= 7 of them below 2^49: exact. It reduces with
-x - q*rint(x/q): for an integer |x| < 2^52 the quotient x/q is off by at
-most 2^-24, so the result is exact, congruent to x, and at most (q+1)/2
-in magnitude even if rint rounds the wrong way.
+every sum of at most l <= 7 of them below 2^49: exact. It does not reduce;
+keygen and verify hand the sum to `intt_values`, which reduces with int64
+`% q` anyway.
 
 `ntt_matvec` chains the signer's w = INTT(A o NTT(y)) for a block of masks
-through that stage without leaving float64. Stage by stage, with
-|y| <= (q-1)/2:
+through that stage without leaving float64, so it reduces each stage
+itself, with x - q*rint(x/q): for an integer |x| < 2^52 the quotient x/q
+is off by at most 2^-24, so the result is exact, congruent to x, and at
+most (q+1)/2 in magnitude even if rint rounds the wrong way. Stage by
+stage, with |y| <= (q-1)/2:
 
   NTT(y)       256 products < 2^44 each, sums < 2^52, reduced to <= (q+1)/2
   A o NTT(y)   l <= 7 products < 2^46 each, sums < 2^49, reduced likewise
@@ -151,13 +153,13 @@ def matvec_hat(a_hat: np.ndarray, v_hat) -> np.ndarray:
     """A o v summed over l: (k, l, 256) times (..., l, 256) gives (..., k, 256).
 
     Operands below q in magnitude; A is cast to float64 unless it is
-    already. Float64, reduced to at most (q+1)/2 in magnitude and exact by
-    the module's bound. Counted k*l*256 per vector.
+    already. Float64, the exact unreduced sum (below 2^49 by the module's
+    bound). Counted k*l*256 per vector.
     """
     if a_hat.dtype != np.float64:
         a_hat = a_hat.astype(np.float64)
     instrumentation.add_modmul(_rows(v_hat) * len(a_hat) * N)
-    return _reduce(np.einsum("kln,...ln->...kn", a_hat, v_hat))
+    return np.einsum("kln,...ln->...kn", a_hat, v_hat)
 
 
 def ntt_matvec(a_hat: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -173,7 +175,7 @@ def ntt_matvec(a_hat: np.ndarray, y: np.ndarray) -> np.ndarray:
     k = a_hat.shape[0]
     instrumentation.add_modmul(b * (l * _NTT_MODMULS + k * _INTT_MODMULS))
     y_hat = _reduce(np.asarray(y, dtype=np.float64).reshape(-1, N) @ _NTT_MATRIX)
-    acc = matvec_hat(a_hat, y_hat.reshape(b, l, N))
+    acc = _reduce(matvec_hat(a_hat, y_hat.reshape(b, l, N)))
     w = acc.reshape(-1, N) @ _INTT_MATRIX
     return w.astype(np.int64).reshape(b, k, N) % Q
 

@@ -245,3 +245,16 @@ def test_analyze_hand_convolution_case(capsys):
     out = capsys.readouterr().out
     assert "P(|u| > 1)  exact = 2/9" in out
     assert "monte carlo" in out
+
+
+@pytest.mark.parametrize("argv", [["selftest", "--level", "2", "--trials", "-1"],
+                                  ["selftest", "--trials", "0"],
+                                  ["bench", "--level", "2", "--iterations", "0"],
+                                  ["bench", "--level", "2", "--iterations", "many"]])
+def test_vacuous_counts_are_usage_errors(argv, capsys):
+    # --trials -1 used to pass selftest without multiplying anything, and
+    # --iterations 0 ended in a statistics error
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "expected an integer >= 1" in capsys.readouterr().err

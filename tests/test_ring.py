@@ -274,10 +274,9 @@ def test_ntt_matvec_matches_int64_path_at_worst_case(k, l, gamma1):
                  (a_hat, ring.ntt_values(y))):
         with instrumentation.counting() as cn:
             got = ring.matvec_hat(a.astype(np.int32), v)
-        want = (a * v[..., None, :, :]).sum(axis=-2) % Q
+        want = (a * v[..., None, :, :]).sum(axis=-2)         # unreduced, int64
         assert got.dtype == np.float64 and got.shape == v.shape[:-2] + (k, N)
-        assert np.abs(got).max() <= (Q + 1) // 2
-        assert np.array_equal(got.astype(np.int64) % Q, want)
+        assert np.array_equal(got, want)
         assert cn.modmul == a.size * (v.size // a[0].size)      # k*l*256 per vector
 
 
