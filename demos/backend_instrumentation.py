@@ -39,9 +39,8 @@ for backend in Backend:
           f"(< {p.gamma2 - p.beta})")
 
 print("\nNote the ordering: ntt and sparse evaluate z then r0, while "
-      "sparse_fused evaluates r0 first. Both byte-lane backends compute each "
-      "product inside its check, so a failing first check skips the other "
-      "product; ntt computes both on every attempt.")
+      "sparse_fused evaluates r0 first. Every backend computes each product "
+      "inside its check, so a failing first check skips the other product.")
 
 print("\n--- small benchmark (informational wall-clock only) ---")
 rows = run_bench(2, iterations=20)

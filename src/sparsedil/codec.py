@@ -80,7 +80,7 @@ def unpack_t0(data: bytes, m: int) -> np.ndarray:
 
 
 def _eta_width(eta: int) -> int:
-    return 3 if eta == 2 else 4
+    return (2 * eta).bit_length()
 
 
 def pack_eta(s, eta: int) -> bytes:
@@ -97,7 +97,7 @@ def unpack_eta(data: bytes, m: int, eta: int) -> np.ndarray:
 
 
 def _z_width(params: ParameterSet) -> int:
-    return 18 if params.gamma1 == 1 << 17 else 20
+    return params.gamma1.bit_length()
 
 
 def pack_z(z, params: ParameterSet) -> bytes:
@@ -112,14 +112,11 @@ def unpack_z(data: bytes, params: ParameterSet) -> np.ndarray:
     return params.gamma1 - unpack_bits(data, width, count)
 
 
-def _w1_width(params: ParameterSet) -> int:
-    return 6 if params.level == 2 else 4
-
-
 def pack_w1(w1, params: ParameterSet) -> bytes:
     v = np.asarray(w1, dtype=np.int64)
-    _check_range(v, 0, (params.q - 1) // params.alpha - 1, "w1")
-    return pack_bits(v, _w1_width(params))
+    top = (params.q - 1) // params.alpha - 1
+    _check_range(v, 0, top, "w1")
+    return pack_bits(v, top.bit_length())
 
 
 # ---------------------------------------------------------------------------

@@ -89,7 +89,7 @@ _NTT_MODMULS = 128 * 8
 _INTT_MODMULS = 128 * 8 + N
 
 
-@dataclass
+@dataclass(frozen=True)
 class Poly:
     """Ring elements, one (256,) or a stack (..., 256), int32, plus a domain tag."""
 

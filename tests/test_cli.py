@@ -1,5 +1,7 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -111,10 +113,13 @@ def test_sign_reads_stdin_message(tmp_path):
     rc = run(["keygen", "--level", "2", "--seed", SEED_HEX,
               "--pk", str(tmp_path / "pk"), "--sk", str(tmp_path / "sk")])
     assert rc == 0
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "sparsedil.cli", "sign", "--sk", str(tmp_path / "sk"),
          "--in", "-", "--out", str(tmp_path / "sig")],
-        input=b"from stdin", capture_output=True)
+        input=b"from stdin", capture_output=True, env=env)
     assert proc.returncode == 0
     (tmp_path / "msg").write_bytes(b"from stdin")
     assert run(["verify", "--pk", str(tmp_path / "pk"), "--in", str(tmp_path / "msg"),

@@ -1,4 +1,8 @@
+import dataclasses
 import hashlib
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -256,11 +260,13 @@ def test_ntt_backend_counts_nlogn_multiplications(keypairs, params):
     pk, sk = keypairs[params.level]
     tr = SignTrace()
     scheme.sign(params, sk, b"count", backend=Backend.NTT, trace=tr)
-    attempts = len(tr.iterations)
-    # per attempt: l (or k) pointwise products plus inverse transforms
+    # a z-rejected attempt must not compute (or charge) c*s2
+    assert ["z"] in tr.iterations
+    ran = {check: sum(check in checks for checks in tr.iterations) for check in ("z", "r0")}
+    # per product row: one pointwise product plus one inverse transform
     per_poly = N + (128 * 8 + N)
-    assert tr.cs1_modmuls >= attempts * params.l * per_poly
-    assert tr.cs2_modmuls >= attempts * params.k * per_poly
+    assert tr.cs1_modmuls == ran["z"] * params.l * per_poly
+    assert tr.cs2_modmuls == ran["r0"] * params.k * per_poly
 
 
 def test_fused_r0_failure_skips_z(keypairs):
@@ -431,3 +437,40 @@ def test_untraced_sign_enters_no_counting_scope(keypairs, monkeypatch):
     assert scopes == []
     scheme.sign(p, keypairs[2][1], b"untraced", trace=SignTrace())
     assert scopes
+
+
+def test_cached_matrix_cannot_be_rebound(keypairs):
+    # expand_a hands every caller the same cached Poly
+    p = param_set(2)
+    pk, sk = keypairs[2]
+    sig = scheme.sign(p, sk, b"frozen")
+    A = expand_a(codec.pk_decode(pk, p)[0], p)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        A.coeffs = np.zeros_like(A.coeffs)
+    assert scheme.verify(p, pk, b"frozen", sig)
+    assert scheme.sign(p, sk, b"frozen") == sig
+
+
+def test_threads_sharing_a_key_sign_as_one_thread(keypairs):
+    p = param_set(3)
+    _, sk = keypairs[3]
+    jobs = [(b"thread %d" % i, backend) for i, backend in enumerate(BACKENDS)]
+    start = threading.Barrier(len(jobs))
+
+    def signed(msg, backend, barrier=None):
+        tr = SignTrace()
+        if barrier is not None:
+            barrier.wait(timeout=60)
+        sig = scheme.sign(p, sk, msg, backend=backend, trace=tr)
+        return sig, tr.iterations, tr.cs1_modmuls, tr.cs2_modmuls
+
+    serial = [signed(msg, backend) for msg, backend in jobs]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
+            futures = [pool.submit(signed, msg, backend, start) for msg, backend in jobs]
+            assert [f.result(timeout=120) for f in futures] == serial
+    finally:
+        sys.setswitchinterval(switch)
+    assert any(cs1 > 0 for _, _, cs1, _ in serial)
