@@ -200,18 +200,35 @@ def _selftest_sections(levels, trials, rng):
         yield f"oracle-chain-level{level}", oracle_chain
 
         def codec_roundtrip(p=p):
-            t1 = rng.integers(0, 1024, (p.k, N))
-            if not np.array_equal(codec.unpack_t1(codec.pack_t1(t1), p.k), t1):
-                raise AssertionError("t1 codec roundtrip failed")
-            t0 = rng.integers(-(1 << 12) + 1, (1 << 12) + 1, (p.k, N))
-            if not np.array_equal(codec.unpack_t0(codec.pack_t0(t0), p.k), t0):
-                raise AssertionError("t0 codec roundtrip failed")
-            s = rng.integers(-p.eta, p.eta + 1, (p.l, N))
-            if not np.array_equal(codec.unpack_eta(codec.pack_eta(s, p.eta), p.l, p.eta), s):
-                raise AssertionError("eta codec roundtrip failed")
-            z = rng.integers(-p.gamma1 + 1, p.gamma1 + 1, (p.l, N))
-            if not np.array_equal(codec.unpack_z(codec.pack_z(z, p), p).reshape(p.l, N), z):
-                raise AssertionError("z codec roundtrip failed")
+            # each image is also compared with its definition, since a bug that an
+            # encoder shares with its decoder passes a roundtrip
+            w1_top, half = (Q - 1) // p.alpha - 1, 1 << 12
+            eta_w, z_w, w1_w = (2 * p.eta).bit_length(), p.gamma1.bit_length(), w1_top.bit_length()
+            t1, t0 = rng.integers(0, 1024, (p.k, N)), rng.integers(1 - half, half + 1, (p.k, N))
+            s, w1 = rng.integers(-p.eta, p.eta + 1, (p.l, N)), rng.integers(0, w1_top + 1, (p.k, N))
+            z = rng.integers(1 - p.gamma1, p.gamma1 + 1, (p.l, N))
+            for name, v, fields, width, image, unpack in (
+                    ("t1", t1, t1, 10, codec.pack_t1(t1), lambda b: codec.unpack_t1(b, p.k)),
+                    ("t0", t0, half - t0, 13, codec.pack_t0(t0), lambda b: codec.unpack_t0(b, p.k)),
+                    ("eta", s, p.eta - s, eta_w, codec.pack_eta(s, p.eta),
+                     lambda b: codec.unpack_eta(b, p.l, p.eta)),
+                    ("z", z, p.gamma1 - z, z_w, codec.pack_z(z, p), lambda b: codec.unpack_z(b, p)),
+                    ("w1", w1, w1, w1_w, codec.pack_w1(w1, p),
+                     lambda b: codec.unpack_bits(b, w1_w, w1.size))):
+                want = sum(f << (i * width) for i, f in enumerate(fields.reshape(-1).tolist()))
+                if image != want.to_bytes((v.size * width + 7) // 8, "little"):
+                    raise AssertionError(f"{name} byte image differs from its definition")
+                if not np.array_equal(unpack(image).reshape(v.shape), v):
+                    raise AssertionError(f"{name} codec roundtrip failed")
+            h = np.zeros((p.k, N), dtype=np.uint8)
+            h.flat[rng.choice(p.k * N, rng.integers(p.omega // 2, p.omega), replace=False)] = 1
+            layout = [j for i in range(p.k) for j in range(N) if h[i, j]]
+            layout += [0] * (p.omega - len(layout)) + [int(h[:i + 1].sum()) for i in range(p.k)]
+            sig = codec.sig_encode(bytes(32), z, h, p)
+            if sig[-len(layout):] != bytes(layout):
+                raise AssertionError("hint section differs from the round-3 layout")
+            if not np.array_equal(codec.sig_decode(sig, p)[2], h):
+                raise AssertionError("hint codec roundtrip failed")
 
         yield f"codec-level{level}", codec_roundtrip
 

@@ -3,7 +3,10 @@
 All codecs are little-endian fixed-width bit fields (round-3 wire layout),
 bijections between their declared coefficient ranges and byte images.
 Out-of-range coefficients fail at pack time; malformed bytes fail at decode
-time with DecodeError so verification can fail closed.
+time with DecodeError so verification can fail closed. `pack_bits` ORs each
+group of g = 8/gcd(width, 8) fields (g*width/8 whole bytes) into uint64
+words; `unpack_bits` stays one float32 bit-weight product, which measured
+2-5x faster than unpacking from words.
 
 The private-key decoder deviates from the classic in-memory shape on
 purpose: secrets come back already widened to the 512-entry (-s, s) layout
@@ -13,6 +16,7 @@ int8 where tau*eta fits a signed byte (levels 2 and 5) and int16 at level
 3, so every signing product is exact; `signing_layout` makes that choice.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,9 +33,20 @@ class DecodeError(ValueError):
 # generic little-endian bit fields
 
 def pack_bits(values, width: int) -> bytes:
-    v = np.asarray(values, dtype=np.int64).reshape(-1)
-    bits = ((v[:, None] >> np.arange(width)) & 1).astype(np.uint8)
-    return np.packbits(bits.reshape(-1), bitorder="little").tobytes()
+    """Fields of `width` <= 64 bits, each value cut to its low `width` bits."""
+    v = np.asarray(values, dtype=np.int64).reshape(-1).view(np.uint64) & ((1 << width) - 1)
+    g = 8 // math.gcd(width, 8)             # fields per group of whole bytes
+    fields = np.concatenate((v, np.zeros(-v.size % g, np.uint64))) if v.size % g else v
+    fields = fields.reshape(-1, g).T
+    words = np.zeros((-(-g * width // 64), fields.shape[1]), dtype="<u8")
+    words[0] = fields[0]
+    for j in range(1, g):
+        word, shift = divmod(j * width, 64)
+        words[word] |= fields[j] << shift
+        if shift + width > 64:
+            words[word + 1] |= fields[j] >> (64 - shift)
+    image = words.T.copy().view(np.uint8)[:, :g * width // 8]
+    return image.tobytes()[:(v.size * width + 7) // 8]
 
 
 def unpack_bits(data: bytes, width: int, count: int) -> np.ndarray:
@@ -201,53 +216,43 @@ def sk_decode_extended(sk: bytes, params: ParameterSet) -> DecodedSecret:
     """
     if len(sk) != sk_size(params):
         raise DecodeError(f"secret key must be {sk_size(params)} bytes, got {len(sk)}")
-    per = eta_packed_bytes(params.eta)
-    off = 96
-    s1 = unpack_eta(sk[off:off + params.l * per], params.l, params.eta)
-    off += params.l * per
-    s2 = unpack_eta(sk[off:off + params.k * per], params.k, params.eta)
-    off += params.k * per
+    off = 96 + (params.l + params.k) * eta_packed_bytes(params.eta)
+    ext = signing_layout(unpack_eta(sk[96:off], params.l + params.k, params.eta), params)
     t0 = unpack_t0(sk[off:], params.k).astype(np.int16)
-    s1_ext = signing_layout(s1, params)
-    s2_ext = signing_layout(s2, params)
-    for arr in (s1_ext, s2_ext, t0):
+    for arr in (ext, t0):
         arr.setflags(write=False)
     return DecodedSecret(rho=sk[:32], key=sk[32:64], tr=sk[64:96],
-                         s1_ext=s1_ext, s2_ext=s2_ext, t0=t0)
+                         s1_ext=ext[:params.l], s2_ext=ext[params.l:], t0=t0)
 
 
 # ---------------------------------------------------------------------------
 # signature
 
 def _encode_hints(h: np.ndarray, params: ParameterSet) -> bytes:
+    rows, pos = np.nonzero(h)
+    if len(pos) > params.omega:
+        raise ValueError(f"hint weight exceeds omega = {params.omega}")
     buf = np.zeros(params.omega + params.k, dtype=np.uint8)
-    off = 0
-    for i in range(params.k):
-        pos = np.flatnonzero(h[i])
-        if off + len(pos) > params.omega:
-            raise ValueError(f"hint weight exceeds omega = {params.omega}")
-        buf[off:off + len(pos)] = pos
-        off += len(pos)
-        buf[params.omega + i] = off
+    buf[:len(pos)] = pos
+    buf[params.omega:] = np.cumsum(np.bincount(rows, minlength=params.k))
     return buf.tobytes()
 
 
 def _decode_hints(data: bytes, params: ParameterSet) -> np.ndarray:
     raw = np.frombuffer(data, dtype=np.uint8)
-    h = np.zeros((params.k, N), dtype=np.uint8)
-    prev = 0
-    for i in range(params.k):
-        cnt = int(raw[params.omega + i])
-        if cnt < prev or cnt > params.omega:
-            raise DecodeError("hint counts not non-decreasing or above omega")
-        pos = raw[prev:cnt].astype(np.int64)
-        if len(pos) > 1 and np.any(np.diff(pos) <= 0):
-            raise DecodeError("hint positions not strictly increasing")
-        h[i, pos] = 1
-        prev = cnt
-    if np.any(raw[prev:params.omega] != 0):
+    counts = raw[params.omega:params.omega + params.k].astype(np.int64)
+    per_row = np.diff(counts, prepend=0)
+    if np.any(per_row < 0) or counts[-1] > params.omega:
+        raise DecodeError("hint counts not non-decreasing or above omega")
+    # row*N + position rises strictly iff positions rise strictly within each row
+    flat = np.repeat(np.arange(params.k) * N, per_row) + raw[:counts[-1]]
+    if np.any(np.diff(flat) <= 0):
+        raise DecodeError("hint positions not strictly increasing")
+    if np.any(raw[counts[-1]:params.omega] != 0):
         raise DecodeError("nonzero padding in hint section")
-    return h
+    h = np.zeros(params.k * N, dtype=np.uint8)
+    h[flat] = 1
+    return h.reshape(params.k, N)
 
 
 def sig_encode(c_tilde: bytes, z, h, params: ParameterSet) -> bytes:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sparsedil import bench, cli, ring, rounding, sparse
+from sparsedil import bench, cli, codec, ring, rounding, sparse
 from sparsedil.params import N, Q
 
 SEED_HEX = "00" * 32
@@ -263,3 +263,21 @@ def test_vacuous_counts_are_usage_errors(argv, capsys):
         run(argv)
     assert exc.value.code == 2
     assert "expected an integer >= 1" in capsys.readouterr().err
+
+
+def test_selftest_names_codec_pair_sharing_a_bug(monkeypatch, capsys):
+    # an encoder and decoder that both swap hint rows 0 and 1 roundtrip and
+    # sign-verify fine; only the byte-image check of the codec section sees it
+    real_encode, real_decode = codec._encode_hints, codec._decode_hints
+
+    def swapped(h):
+        return np.asarray(h)[[1, 0, *range(2, len(h))]]
+
+    monkeypatch.setattr(codec, "_encode_hints", lambda h, p: real_encode(swapped(h), p))
+    monkeypatch.setattr(codec, "_decode_hints", lambda data, p: swapped(real_decode(data, p)))
+    rc = run(["selftest", "--trials", "2"])
+    assert rc == 3
+    out = capsys.readouterr().out
+    failed = [line.split()[1].rstrip(":") for line in out.splitlines() if line.startswith("[FAIL]")]
+    assert failed == ["codec-level2", "codec-level3", "codec-level5"]
+    assert "round-3 layout" in out

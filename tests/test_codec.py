@@ -239,3 +239,165 @@ def test_level_inference():
         assert codec.level_for_sk(bytes(codec.sk_size(p))) == lv
     with pytest.raises(codec.DecodeError):
         codec.level_for_pk(bytes(999))
+
+
+# ---------------------------------------------------------------------------
+# loop oracles for the word-parallel packer and the vectorised hint codec
+
+def _pack_bits_oracle(values, width):
+    # one bit per int64 lane, then np.packbits
+    v = np.asarray(values, dtype=np.int64).reshape(-1)
+    bits = ((v[:, None] >> np.arange(width)) & 1).astype(np.uint8)
+    return np.packbits(bits.reshape(-1), bitorder="little").tobytes()
+
+
+def _encode_hints_oracle(h, p):
+    buf = np.zeros(p.omega + p.k, dtype=np.uint8)
+    off = 0
+    for i in range(p.k):
+        pos = np.flatnonzero(h[i])
+        if off + len(pos) > p.omega:
+            raise ValueError(f"hint weight exceeds omega = {p.omega}")
+        buf[off:off + len(pos)] = pos
+        off += len(pos)
+        buf[p.omega + i] = off
+    return buf.tobytes()
+
+
+def _decode_hints_oracle(data, p):
+    raw = np.frombuffer(data, dtype=np.uint8)
+    h = np.zeros((p.k, N), dtype=np.uint8)
+    prev = 0
+    for i in range(p.k):
+        cnt = int(raw[p.omega + i])
+        if cnt < prev or cnt > p.omega:
+            raise codec.DecodeError("hint counts not non-decreasing or above omega")
+        pos = raw[prev:cnt].astype(np.int64)
+        if len(pos) > 1 and np.any(np.diff(pos) <= 0):
+            raise codec.DecodeError("hint positions not strictly increasing")
+        h[i, pos] = 1
+        prev = cnt
+    if np.any(raw[prev:p.omega] != 0):
+        raise codec.DecodeError("nonzero padding in hint section")
+    return h
+
+
+def _decode_or_none(decode, data, p):
+    try:
+        return decode(data, p)
+    except codec.DecodeError:
+        return None
+
+
+def _assert_same_decode(data, p):
+    got = _decode_or_none(codec._decode_hints, data, p)
+    want = _decode_or_none(_decode_hints_oracle, data, p)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    return want
+
+
+@pytest.mark.parametrize("width", range(1, 25))
+def test_pack_bits_matches_bit_spreading_oracle(width):
+    rng = np.random.default_rng(100 + width)
+    group = 8 // np.gcd(width, 8)
+    for count in sorted({0, 1, group - 1, group, group + 1, 3 * group, 3 * group + 1, 1027}):
+        in_range = rng.integers(0, 1 << width, count)
+        # negative and >= 2^width inputs are cut to their low bits, never spilling over
+        wild = rng.integers(-(1 << 40), 1 << 40, count)
+        edges = rng.choice([-1, 1 << width, (1 << width) - 1, -(1 << width), 2**63 - 1, -2**63],
+                           count)
+        for vals in (in_range, wild, edges):
+            got = codec.pack_bits(vals, width)
+            assert got == _pack_bits_oracle(vals, width)
+            assert len(got) == (count * width + 7) // 8
+
+
+def test_encode_hints_matches_loop_oracle():
+    rng = np.random.default_rng(20)
+    for lv in LEVELS:
+        p = param_set(lv)
+        for weight in [0, 1, p.omega] + rng.integers(0, p.omega + 1, 200).tolist():
+            h = _make_hints(rng, p, weight)
+            assert codec._encode_hints(h, p) == _encode_hints_oracle(h, p)
+        h = _make_hints(rng, p, p.omega + 1)
+        with pytest.raises(ValueError, match="omega"):
+            codec._encode_hints(h, p)
+
+
+def test_decode_hints_matches_loop_oracle_on_random_bytes():
+    rng = np.random.default_rng(21)
+    for lv in LEVELS:
+        p = param_set(lv)
+        for _ in range(500):
+            raw = rng.integers(0, 256, p.omega + p.k, dtype=np.uint8)
+            _assert_same_decode(raw.tobytes(), p)
+            # small counts, so that some random sections get past the count check
+            raw[p.omega:] = np.sort(rng.integers(0, p.omega + 2, p.k))
+            _assert_same_decode(raw.tobytes(), p)
+
+
+def test_decode_hints_matches_loop_oracle_on_targeted_corruptions():
+    rng = np.random.default_rng(22)
+    for lv in LEVELS:
+        p = param_set(lv)
+        for _ in range(100):
+            h = _make_hints(rng, p, int(rng.integers(2, p.omega + 1)))
+            good = np.frombuffer(codec._encode_hints(h, p), dtype=np.uint8)
+            counts = good[p.omega:].astype(np.int64)
+            total = int(counts[-1])
+            variants = []
+            bad = good.copy()
+            bad[p.omega + rng.integers(0, p.k):] = p.omega + 1         # a count above omega
+            variants.append(bad)
+            i = int(rng.integers(0, p.k - 1))
+            if counts[i + 1] < p.omega:
+                bad = good.copy()
+                bad[p.omega + i] = counts[i + 1] + 1                    # a count above the next
+                variants.append(bad)
+            if counts[i] > 0:
+                bad = good.copy()
+                bad[p.omega + i + 1] = counts[i] - 1                    # a count below the last
+                variants.append(bad)
+            rows = np.diff(counts, prepend=0)
+            for i in np.flatnonzero(rows >= 2):
+                start = int(counts[i] - rows[i])
+                j = start + int(rng.integers(0, rows[i] - 1))
+                bad = good.copy()
+                bad[j + 1] = bad[j]                                     # repeated position
+                variants.append(bad)
+                bad = good.copy()
+                bad[j], bad[j + 1] = good[j + 1], good[j]               # decreasing position
+                variants.append(bad)
+            if total < p.omega:
+                bad = good.copy()
+                bad[int(rng.integers(total, p.omega))] = rng.integers(1, 256)  # nonzero padding
+                variants.append(bad)
+            assert np.array_equal(_assert_same_decode(good.tobytes(), p), h)
+            for bad in variants:
+                assert _assert_same_decode(bad.tobytes(), p) is None
+
+
+def test_decode_hints_allows_position_decrease_across_rows():
+    for lv in LEVELS:
+        p = param_set(lv)
+        h = np.zeros((p.k, N), dtype=np.uint8)
+        h[0, [7, 200]] = 1
+        h[1, 3] = 1                       # 3 follows 200: a new row restarts the order
+        h[p.k - 1, [0, 255]] = 1
+        data = codec._encode_hints(h, p)
+        assert np.array_equal(_assert_same_decode(data, p), h)
+
+
+def test_sk_decode_rejects_out_of_range_secret_fields(keypairs):
+    for lv in LEVELS:
+        p = param_set(lv)
+        sk = keypairs[lv][1]
+        per = codec.eta_packed_bytes(p.eta)
+        # all-ones fields decode to eta - (2^width - 1) < -eta, in s1 and in s2
+        for off in (96, 96 + p.l * per, 96 + (p.l + p.k) * per - 1):
+            bad = bytearray(sk)
+            bad[off] = 0xFF
+            with pytest.raises(codec.DecodeError, match="secret"):
+                codec.sk_decode_extended(bytes(bad), p)
