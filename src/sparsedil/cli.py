@@ -138,21 +138,36 @@ def _selftest_sections(levels, trials, rng):
     yield "swar-lanes", swar_exhaustive
 
     def ntt_exactness():
-        # x_j = +-m with the sign of its weight in output i: the float64 sums come
-        # near 2^52, exact only on an IEEE float64 BLAS. The largest m, (q-1)/2 =
-        # 1023 * 2^12, leaves 12 low bits zero, so the odd m - 1 runs too.
-        half, brv = (Q - 1) // 2, [int(f"{k:08b}"[::-1], 2) for k in range(N)]
-        for i in (0, 1, 127, 128, 255):
-            root = pow(ROOT_OF_UNITY, 2 * brv[i] + 1, Q)
-            forward = [pow(root, j, Q) for j in range(N)]
-            inverse = [pow(N, -1, Q) * pow(ROOT_OF_UNITY, -(2 * b + 1) * i, Q) % Q for b in brv]
-            for name, fn, weights in (("ntt", ring.ntt_values, forward),
-                                      ("intt", ring.intt_values, inverse)):
-                for m in (half, half - 1):
-                    x = [m if w <= half else -m for w in weights]
-                    if fn(np.array(x))[i] != sum(a * w for a, w in zip(x, weights)) % Q:
-                        raise AssertionError(
-                            f"{name} output {i} differs from its definition at +-{m}")
+        # Each transform runs two 16-point stages (see ring). Inputs of size
+        # (q-1)/2 or one less, signed like their first-stage weights, drive 16
+        # first-stage sums toward the 2^48 bound, exact only if every product
+        # keeps all 53 bits; the random odd sizes leave low bits to lose. The
+        # outputs that those sums feed are compared with their definition.
+        half, inv_n = (Q - 1) // 2, pow(N, -1, Q)
+        zeta = [pow(ROOT_OF_UNITY, e, Q) for e in range(2 * N)]
+        brv4 = [int(f"{k:04b}"[::-1], 2) for k in range(16)]
+        brv = [brv4[i // 16] + 16 * brv4[i % 16] for i in range(N)]
+
+        def aligned(weights):
+            sizes = half - rng.integers(0, 2, N)
+            return [int(m) if w <= half else -int(m) for w, m in zip(weights, sizes)]
+
+        for g in (1, 6, 15):
+            # forward: x_j, j = 16*j1 + j2, adds zeta^((2*brv4(g) + 1)*j) to the
+            # first-stage sum (j2, g), which feeds outputs 16*g + s
+            x = aligned([zeta[(2 * brv4[g] + 1) * j % (2 * N)] for j in range(N)])
+            # inverse: input 16*p + s adds zeta^(-32*brv4(s)*g) to the
+            # first-stage sum (g, p), which feeds outputs 16*i1 + g
+            f = aligned([zeta[-32 * brv4[k % 16] * g % (2 * N)] for k in range(N)])
+            for name, fn, v, outputs, weight in (
+                    ("ntt", ring.ntt_values, x, range(16 * g, 16 * g + 16),
+                     lambda i, j: zeta[(2 * brv[i] + 1) * j % (2 * N)]),
+                    ("intt", ring.intt_values, f, range(g, N, 16),
+                     lambda i, k: inv_n * zeta[-(2 * brv[k] + 1) * i % (2 * N)])):
+                got = fn(np.array(v))
+                for i in outputs:
+                    if got[i] != sum(a * weight(i, j) for j, a in enumerate(v)) % Q:
+                        raise AssertionError(f"{name} output {i} differs from its definition")
 
     yield "ntt-exactness", ntt_exactness
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import D, LEVELS, N, ParameterSet, param_set
-from .sparse import extend_secret
 
 
 class DecodeError(ValueError):
@@ -199,13 +198,15 @@ def sk_encode(rho: bytes, key: bytes, tr: bytes, s1, s2, t0,
 
 
 def signing_layout(s, params: ParameterSet) -> np.ndarray:
-    """Secrets (..., 256) in the extended layout the signer multiplies.
+    """Secrets (..., 256) in the extended (-s, s) layout the signer multiplies.
 
-    int8 lanes where |c*s| <= tau*eta fits a signed byte; otherwise int16,
-    which holds every partial sum of the product exactly.
+    `s` must already lie in [-eta, eta], as `unpack_eta` guarantees; unlike
+    `sparse.extend_secret`, this does not check it again. int8 lanes where
+    |c*s| <= tau*eta fits a signed byte; otherwise int16, which holds every
+    partial sum of the product exactly.
     """
-    ext = extend_secret(s, params.eta)
-    return ext if params.challenge_fits_int8 else ext.astype(np.int16)
+    s = np.asarray(s, dtype=np.int8 if params.challenge_fits_int8 else np.int16)
+    return np.concatenate((-s, s), axis=-1)
 
 
 def sk_decode_extended(sk: bytes, params: ParameterSet) -> DecodedSecret:

@@ -11,7 +11,7 @@ Q = 8380417
 N = 256
 D = 13
 
-# Primitive 512th root of unity mod Q used to build the NTT matrices.
+# Primitive 512th root of unity mod Q used to build the NTT stage matrices.
 # 1753^256 == -1 (mod Q); verified in the test suite.
 ROOT_OF_UNITY = 1753
 

@@ -10,35 +10,44 @@ the NTT domain is plain coefficient-wise modular multiplication
 inv_ntt(pointwise_mul(ntt(a), ntt(b))) equals the schoolbook negacyclic
 product exactly.
 
-Each transform is one float64 matrix product with a constant 256 x 256
-matrix. Inputs and matrix entries are centered in [-(q-1)/2, (q-1)/2], so
-every product is below 2^44 in magnitude and every partial sum of 256 of
-them below 2^52 < 2^53: each addition is exact in IEEE float64, whatever
-order the BLAS sums in.
+Each transform is two exact 16-point stages. Write j = 16*j1 + j2 and
+output i = 16*p + s, so that brv(i) = brv4(p) + 16*brv4(s). As
+zeta^512 = 1, each weight splits as
+zeta^((2*brv(i) + 1)*j) = zeta^((2*brv4(p) + 1)*j) * zeta^(32*brv4(s)*j2).
+The forward transform is one batched product along j1, with one 16 x 16
+matrix per j2 that holds the twist and the twiddles, then one GEMM along
+j2 whose columns are already in brv4 order, so the output comes out in the
+canonical order with no permutation pass. The inverse mirrors it: a GEMM
+along s, then a batched product along p with 256^-1 and zeta^(-i) folded
+in (`_stage_matrices`).
+
+Every stage operand and matrix entry is centered, at most (q-1)/2 < 2^22 in
+magnitude, so each product is below 2^44 and each stage sum of 16 of them
+below 2^48 < 2^53: every partial sum is an exact float64 integer, whatever
+order the BLAS sums in. Between stages `_reduce` takes x to
+x - q*rint(x/q), computing the quotient as x * fl(1/q). For |x| < 2^49
+that is off from x/q by less than 2^-25, while x/q lies at least
+1/(2q) > 2^-24 from any half-integer (q is odd). So rint finds the nearest
+integer and the result is the exact centered representative of x. The last
+stage goes to [0, q) in the same way through floor((x + 1/2)/q)
+(`_to_residues`), as (x + 1/2)/q lies at least 1/(2q) from any integer.
 
 `matvec_hat` is the one A o v stage, summed over l, in float64. Its
 operands are below q in magnitude (A as sampled in [0, q), v as
 `ntt_values` returns it or reduced), so every product is below 2^46 and
 every sum of at most l <= 7 of them below 2^49: exact. It does not reduce;
-keygen and verify hand the sum to `intt_values`, which reduces with int64
-`% q` anyway.
+keygen and verify hand the sum to `intt_values`, which centers it first.
 
 `ntt_matvec` chains the signer's w = INTT(A o NTT(y)) for a block of masks
-through that stage without leaving float64, so it reduces each stage
-itself, with x - q*rint(x/q): for an integer |x| < 2^52 the quotient x/q
-is off by at most 2^-24, so the result is exact, congruent to x, and at
-most (q+1)/2 in magnitude even if rint rounds the wrong way. Stage by
-stage, with |y| <= (q-1)/2:
+through that stage without leaving float64, reducing after each stage.
+With |y| <= (q-1)/2:
 
-  NTT(y)       256 products < 2^44 each, sums < 2^52, reduced to <= (q+1)/2
-  A o NTT(y)   l <= 7 products < 2^46 each, sums < 2^49, reduced likewise
-  INTT         256 products < 2^44 each, sums < 2^52
-
-Every stage is an exact integer below 2^53, and the last one goes to
-[0, q) through int64 `% q`, which does not depend on any rounding.
+  NTT(y)       two stages, each sum < 2^48, reduced to centered
+  A o NTT(y)   l <= 7 products < 2^45 each (A in [0, q)), sums < 2^48, reduced
+  INTT         two stages, each sum < 2^48, the last into [0, q)
 
 The modmul counter charges the butterfly NTT's cost model, the paper's
-baseline, not the matrix products' work: 8 layers of 128 products per
+baseline, not the stage products' work: 8 layers of 128 products per
 forward row, the same plus 256 scaling products per inverse row, and one
 product per NTT-domain coefficient pair.
 
@@ -65,24 +74,34 @@ def center(values: np.ndarray) -> np.ndarray:
     return np.where(v > (Q - 1) // 2, v - Q, v)
 
 
-def _transform_matrices() -> tuple[np.ndarray, np.ndarray]:
-    """The forward and inverse NTT matrices, centered float64, applied as a @ M.
+_B = 16     # stage length: N = _B * _B
 
-    Forward M[j, i] = zeta^((2*brv(i) + 1)*j); inverse M[i, j] =
-    256^-1 * zeta^(-(2*brv(i) + 1)*j). Both are read-only, so concurrent
-    signers share them.
+
+def _stage_matrices() -> tuple[np.ndarray, ...]:
+    """The four 16-point stage matrices, centered float64 and read-only.
+
+      forward 1 [j2, j1, p]  zeta^((2*brv4(p) + 1)*(16*j1 + j2))
+      forward 2 [j2, s]      zeta^(32*brv4(s)*j2)
+      inverse 1 [i2, s]      zeta^(-32*brv4(s)*i2)
+      inverse 2 [i2, p, i1]  256^-1 * zeta^(-(2*brv4(p) + 1)*(16*i1 + i2))
+
+    Read-only, so concurrent signers share them.
     """
-    brv = np.array([int(f"{i:08b}"[::-1], 2) for i in range(N)])
+    brv4 = np.array([int(f"{i:04b}"[::-1], 2) for i in range(_B)])
     powers = np.array([pow(ROOT_OF_UNITY, e, Q) for e in range(2 * N)], dtype=np.int64)
-    odd = 2 * brv + 1
-    fwd = center(powers).astype(np.float64)[np.outer(np.arange(N), odd) % (2 * N)]
-    inv = center(powers * pow(N, -1, Q)).astype(np.float64)[np.outer(odd, -np.arange(N)) % (2 * N)]
-    fwd.setflags(write=False)
-    inv.setflags(write=False)
-    return fwd, inv
+    r = np.arange(_B)
+    e1 = (2 * brv4 + 1) * (_B * r[:, None] + r[:, None, None])
+    e2 = 2 * _B * np.outer(r, brv4)
+    out = []
+    for e, scale in ((e1, 1), (e2, 1), (-e2, 1), (-e1.transpose(0, 2, 1), pow(N, -1, Q))):
+        m = center(powers[e % (2 * N)] * scale).astype(np.float64, order="C")
+        m.setflags(write=False)
+        out.append(m)
+    return tuple(out)
 
 
-_NTT_MATRIX, _INTT_MATRIX = _transform_matrices()
+_FWD1, _FWD2, _INV1, _INV2 = _stage_matrices()
+_Q_INV = 1.0 / Q
 
 # butterfly cost model, per transformed row (see the module docstring)
 _NTT_MODMULS = 128 * 8
@@ -110,11 +129,50 @@ def _rows(a) -> int:
     return np.size(a) // N
 
 
-def _matmul_mod(a, matrix: np.ndarray) -> np.ndarray:
-    """Centered a @ matrix reduced into [0, q); exact by the module's bound."""
-    a = np.asarray(a)
-    prod = center(a).reshape(-1, N).astype(np.float64) @ matrix
-    return prod.astype(np.int64).reshape(a.shape) % Q
+def _reduce(x: np.ndarray) -> np.ndarray:
+    """x - q*rint(x/q) in place for integer float64 |x| < 2^49; centered, exact."""
+    t = x * _Q_INV
+    np.rint(t, out=t)
+    t *= Q
+    x -= t
+    return x
+
+
+def _to_residues(x: np.ndarray) -> np.ndarray:
+    """x - q*floor((x + 1/2)/q) in place for integer float64 |x| < 2^49; in [0, q), exact."""
+    t = x + 0.5
+    t *= _Q_INV
+    np.floor(t, out=t)
+    t *= Q
+    x -= t
+    return x
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """One stage's float64 matrix product; every stage goes through here."""
+    return np.matmul(a, b)
+
+
+def _forward(x) -> np.ndarray:
+    """Both forward stages of (R, 256) centered rows (|x| <= (q-1)/2).
+
+    Returns (R, 256) float64 in the canonical bit-reversed order: the exact,
+    unreduced stage-2 sums, below 2^48 by the module's bound.
+    """
+    x = np.asarray(x).reshape(-1, _B, _B).transpose(2, 0, 1).astype(np.float64, order="C")
+    t = _reduce(_product(x, _FWD1))                   # [j2, row, p]
+    return _product(t.reshape(_B, -1).T, _FWD2).reshape(-1, N)
+
+
+def _inverse(x) -> np.ndarray:
+    """Both inverse stages of (R, 256) centered rows, 1/256 included.
+
+    Returns (R, 256) int64 in [0, q).
+    """
+    x = np.asarray(x, dtype=np.float64).reshape(-1, _B)
+    t = _reduce(_product(_INV1, x.T))                 # [i2, row * 16 + p]
+    w = _to_residues(_product(t.reshape(_B, -1, _B), _INV2))   # [i2, row, i1]
+    return w.transpose(1, 2, 0).astype(np.int64, order="C").reshape(-1, N)
 
 
 def ntt_values(a) -> np.ndarray:
@@ -123,8 +181,9 @@ def ntt_values(a) -> np.ndarray:
     Output i is a(zeta^(2*brv(i) + 1)) mod q, int64 in [0, q); counted
     _NTT_MODMULS per row.
     """
+    a = np.asarray(a)
     instrumentation.add_modmul(_rows(a) * _NTT_MODMULS)
-    return _matmul_mod(a, _NTT_MATRIX)
+    return _to_residues(_forward(center(a))).astype(np.int64).reshape(a.shape)
 
 
 def intt_values(fhat) -> np.ndarray:
@@ -133,8 +192,9 @@ def intt_values(fhat) -> np.ndarray:
     Takes any integers (also integer-valued float64); counted _INTT_MODMULS
     per row.
     """
+    fhat = np.asarray(fhat)
     instrumentation.add_modmul(_rows(fhat) * _INTT_MODMULS)
-    return _matmul_mod(fhat, _INTT_MATRIX)
+    return _inverse(center(fhat)).reshape(fhat.shape)
 
 
 def ntt_product(a_hat, b_hat) -> np.ndarray:
@@ -142,11 +202,6 @@ def ntt_product(a_hat, b_hat) -> np.ndarray:
     prod = np.asarray(a_hat, dtype=np.int64) * b_hat
     instrumentation.add_modmul(prod.size)
     return prod % Q
-
-
-def _reduce(x: np.ndarray) -> np.ndarray:
-    """x - q*rint(x/q) for integer float64 |x| < 2^52; exact, magnitude <= (q+1)/2."""
-    return x - Q * np.rint(x / Q)
 
 
 def matvec_hat(a_hat: np.ndarray, v_hat) -> np.ndarray:
@@ -174,10 +229,9 @@ def ntt_matvec(a_hat: np.ndarray, y: np.ndarray) -> np.ndarray:
     b, l = y.shape[:2]
     k = a_hat.shape[0]
     instrumentation.add_modmul(b * (l * _NTT_MODMULS + k * _INTT_MODMULS))
-    y_hat = _reduce(np.asarray(y, dtype=np.float64).reshape(-1, N) @ _NTT_MATRIX)
+    y_hat = _reduce(_forward(y))
     acc = _reduce(matvec_hat(a_hat, y_hat.reshape(b, l, N)))
-    w = acc.reshape(-1, N) @ _INTT_MATRIX
-    return w.astype(np.int64).reshape(b, k, N) % Q
+    return _inverse(acc).reshape(b, k, N)
 
 
 def _require(cond: bool, msg: str) -> None:

@@ -245,9 +245,10 @@ def verify(params: ParameterSet, pk: bytes, message: bytes, sig: bytes) -> bool:
     if norm_inf_exceeds(z, params.gamma1 - params.beta):
         return False
     A = expand_a(rho, params)
-    c_hat = ntt_values(sample_in_ball(c_tilde, params.tau))
-    t1_hat = ntt_values(t1.astype(np.int64) << params.d)
-    w_approx = intt_values(matvec_hat(A.coeffs, ntt_values(z)) - ntt_product(c_hat, t1_hat))
+    rows = np.concatenate((sample_in_ball(c_tilde, params.tau)[None],
+                           t1.astype(np.int64) << params.d, z))
+    c_hat, t1_hat, z_hat = np.split(ntt_values(rows), (1, 1 + params.k))
+    w_approx = intt_values(matvec_hat(A.coeffs, z_hat) - ntt_product(c_hat, t1_hat))
     w1 = use_hint(h, w_approx, params.alpha)
     return c_tilde == shake256(mu + codec.pack_w1(w1, params), 32)
 

@@ -181,15 +181,15 @@ def test_selftest_names_broken_oracle(monkeypatch, capsys):
 
 
 def test_selftest_names_lossy_transform(monkeypatch, capsys):
-    # a BLAS that keeps 50 significant bits instead of 53: exact on the sums
-    # that signing produces, wrong only near the 2^52 worst case
-    def fifty_bit_product(a, matrix):
-        a = np.asarray(a)
-        m, e = np.frexp(ring.center(a).reshape(-1, N).astype(np.float64) @ matrix)
-        prod = np.ldexp(np.round(m * 2.0**50) / 2.0**50, e)
-        return prod.astype(np.int64).reshape(a.shape) % Q
+    # a BLAS that keeps 47 significant bits instead of 53: exact on the stage
+    # sums that signing produces, wrong only near the 2^48 worst case
+    real = ring._product
 
-    monkeypatch.setattr(ring, "_matmul_mod", fifty_bit_product)
+    def forty_seven_bit_product(a, b):
+        m, e = np.frexp(real(a, b))
+        return np.ldexp(np.round(m * 2.0**47) / 2.0**47, e)
+
+    monkeypatch.setattr(ring, "_product", forty_seven_bit_product)
     rc = run(["selftest", "--level", "2", "--trials", "2"])
     assert rc == 3
     out = capsys.readouterr().out

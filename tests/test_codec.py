@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sparsedil import codec
+from sparsedil import codec, sparse
 from sparsedil.keccak import shake256
 from sparsedil.params import LEVELS, N, Q, param_set
 from sparsedil.ring import intt_values, ntt_values
@@ -401,3 +401,17 @@ def test_sk_decode_rejects_out_of_range_secret_fields(keypairs):
             bad[off] = 0xFF
             with pytest.raises(codec.DecodeError, match="secret"):
                 codec.sk_decode_extended(bytes(bad), p)
+
+
+def test_signing_layout_matches_extend_secret():
+    # signing_layout trusts its input's range (unpack_eta checked it) and
+    # otherwise builds the layout that extend_secret builds, in the lane width
+    rng = np.random.default_rng(15)
+    for lv in LEVELS:
+        p = param_set(lv)
+        s = rng.integers(-p.eta, p.eta + 1, (p.l + p.k, N))
+        s[0, :2] = (-p.eta, p.eta)
+        got = codec.signing_layout(s, p)
+        assert got.dtype == (np.int8 if p.challenge_fits_int8 else np.int16)
+        assert np.array_equal(got, sparse.extend_secret(s, p.eta))
+        assert np.array_equal(codec.signing_layout(s[0], p), got[0])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sparsedil import instrumentation, ring
-from sparsedil.params import N, Q, ROOT_OF_UNITY
+from sparsedil.params import LEVELS, N, Q, ROOT_OF_UNITY, param_set
 from sparsedil.ring import Domain, Poly
 
 
@@ -203,10 +203,11 @@ def test_intt_inverts_ntt_on_full_range():
 @pytest.mark.parametrize("i", [0, 1, 2, 127, 128, 200, 255])
 @pytest.mark.parametrize("m", [HALF, HALF - 1], ids=["half", "odd"])
 def test_worst_case_magnitude_is_exact(i, m):
-    # x_j = +-m with the sign of the centered matrix entry in column i: every
-    # product adds to output i with the same sign, so the partial sums grow
-    # toward 2^52. (q-1)/2 = 1023 * 2^12 leaves the low 12 bits of every
-    # product zero; the odd m - 1 leaves none free.
+    # x_j = +-m with the sign of x_j's centered weight in output i: every
+    # term of output i's defining sum adds with the same sign, near 2^52 in
+    # all. (q-1)/2 = 1023 * 2^12 leaves the low 12 bits of every product
+    # zero; the odd m - 1 leaves none free. The stage sums themselves are
+    # driven to their 2^48 bound by test_stage_sum_at_its_bound_is_exact.
     root = pow(ROOT_OF_UNITY, 2 * _brv(i) + 1, Q)
     x = np.array([m * _centered_sign(pow(root, j, Q)) for j in range(N)])
     assert int(ring.ntt_values(x)[i]) == _ntt_by_definition(x, i)
@@ -227,10 +228,118 @@ def test_transform_shapes_and_range(shape):
 
 
 def test_transform_matrices_are_read_only():
-    for m in (ring._NTT_MATRIX, ring._INTT_MATRIX):
+    for m in (ring._FWD1, ring._FWD2, ring._INV1, ring._INV2):
         assert not m.flags.writeable
         with pytest.raises(ValueError):
-            m[0, 0] = 0.0
+            m[(0,) * m.ndim] = 0.0
+
+
+def _definition_matrix(inverse=False):
+    """The transform as one int64 matrix M, applied exactly as (x mod q) @ M mod q.
+
+    Forward M[j, i] = zeta^((2*brv(i) + 1)*j); inverse M[k, i] =
+    256^-1 * zeta^(-(2*brv(k) + 1)*i). Products stay below 2^46 and sums of
+    256 of them below 2^54, so int64 holds them.
+    """
+    odd = np.array([2 * _brv(i) + 1 for i in range(N)])
+    powers = np.array([pow(ROOT_OF_UNITY, e, Q) for e in range(2 * N)], dtype=np.int64)
+    if inverse:
+        return powers[np.outer(odd, -np.arange(N)) % (2 * N)] * INV_N % Q
+    return powers[np.outer(np.arange(N), odd) % (2 * N)]
+
+
+_NTT_DEF, _INTT_DEF = _definition_matrix(), _definition_matrix(inverse=True)
+
+
+def _by_definition(x, m):
+    x = np.asarray(x, dtype=np.int64)
+    return ((x % Q).reshape(-1, N) @ m % Q).reshape(x.shape)
+
+
+def test_definition_matrices_match_horner():
+    rng = np.random.default_rng(14)
+    x = rng.integers(0, Q, N)
+    for i in (0, 1, 77, 128, 255):
+        assert _by_definition(x, _NTT_DEF)[i] == _ntt_by_definition(x, i)
+        assert _by_definition(x, _INTT_DEF)[i] == _intt_by_definition(x, i)
+
+
+@pytest.mark.parametrize("level", LEVELS)
+def test_transforms_match_definition_at_every_row_count(level):
+    # the row counts the program transforms at once: ntt(c), k rows (t0, the
+    # INTT of c*t0, keygen's t), l rows (keygen's s1), verify's 1 + k + l, and
+    # ntt_matvec's 2l forward and 2k inverse rows for a block of two masks
+    p = param_set(level)
+    rng = np.random.default_rng(level)
+    for rows in (1, p.k, p.l, 1 + p.k + p.l, 2 * p.l, 2 * p.k):
+        for x in (rng.integers(0, Q, (rows, N)), rng.integers(-HALF, HALF + 1, (rows, N))):
+            assert np.array_equal(ring.ntt_values(x), _by_definition(x, _NTT_DEF))
+            assert np.array_equal(ring.intt_values(x), _by_definition(x, _INTT_DEF))
+    c = rng.integers(-1, 2, N).astype(np.int8)              # sign's 1-D ntt(c)
+    assert np.array_equal(ring.ntt_values(c), _by_definition(c, _NTT_DEF))
+    a_hat = rng.integers(0, Q, (p.k, p.l, N))
+    y = rng.integers(-p.gamma1 + 1, p.gamma1 + 1, (2, p.l, N))
+    want = _by_definition((a_hat * _by_definition(y, _NTT_DEF)[:, None]).sum(axis=2) % Q,
+                          _INTT_DEF)
+    assert np.array_equal(ring.ntt_matvec(a_hat.astype(np.float64), y), want)
+
+
+def _stage_input(stage, m):
+    """An input to `stage`'s transform that drives its largest stage sums.
+
+    Each driven sum is sum(+-m * weight) with the sign of each weight, so
+    about m * sum|weights|. The first stages are driven directly. A second
+    stage is driven through the first: the input is built back from the
+    outputs that the sign-aligned first-stage results give (each 16 x 16
+    stage is invertible mod q), so the first stage reduces to exactly them.
+    """
+    def aligned(weights):
+        # for odd m, one size at an odd weight drops to m - 1 when that is
+        # needed to make the sum odd, so that it has low bits to lose
+        x = np.where(weights > 0, m, -m).astype(np.int64)
+        w = np.abs(weights).astype(np.int64)
+        if m % 2 and m * w.sum() % 2 == 0:
+            j = np.flatnonzero(w % 2)[0]
+            x[j] -= np.sign(x[j])
+        return x
+
+    fwd1, fwd2, inv1, inv2 = (np.abs(x) for x in (ring._FWD1, ring._FWD2, ring._INV1, ring._INV2))
+    if stage == "forward1":           # sums (j2, p) over j1; input 16*j1 + j2
+        p = np.argmax(fwd1.sum(axis=1).max(axis=0))
+        return ring.ntt_values, np.stack([aligned(w) for w in ring._FWD1[:, :, p]], axis=1).ravel()
+    if stage == "forward2":           # sums (p, s) over j2 of first-stage results
+        s = np.argmax(fwd2.sum(axis=0))
+        ntt_2d = np.zeros((16, 16), dtype=np.int64)
+        ntt_2d[5] = aligned(ring._FWD2[:, s]) @ ring._FWD2.astype(np.int64) % Q
+        return ring.ntt_values, ring.intt_values(ntt_2d.ravel())
+    if stage == "inverse1":           # sums (i2, p) over s; input 16*p + s
+        i2 = np.argmax(inv1.sum(axis=1))
+        return ring.intt_values, np.tile(aligned(ring._INV1[i2]), 16)
+    i2, i1 = np.unravel_index(np.argmax(inv2.sum(axis=1)), (16, 16))    # sums (i2, i1) over p
+    std_2d = np.zeros((16, 16), dtype=np.int64)                          # output 16*i1 + i2
+    std_2d[:, i2] = aligned(ring._INV2[i2, :, i1]) @ ring._INV2[i2].astype(np.int64) % Q
+    return ring.intt_values, ring.ntt_values(std_2d.ravel())
+
+
+@pytest.mark.parametrize("stage", ["forward1", "forward2", "inverse1", "inverse2"])
+@pytest.mark.parametrize("m", [HALF, HALF - 1], ids=["half", "odd"])
+def test_stage_sum_at_its_bound_is_exact(stage, m, monkeypatch):
+    # the largest stage sums that the centered stage matrices allow, between
+    # 2^47 and the 2^48 bound; the odd m leaves low bits set
+    fn, x = _stage_input(stage, m)
+    sums = []
+
+    def recording(a, b):
+        out = np.matmul(a, b)
+        sums.append(np.abs(out).max())
+        return out
+
+    monkeypatch.setattr(ring, "_product", recording)
+    got = fn(x)
+    largest = sums[stage.endswith("2")]
+    assert 2**47 < largest < 2**48
+    assert largest % 2 == m % 2
+    assert np.array_equal(got, _by_definition(x, _NTT_DEF if fn is ring.ntt_values else _INTT_DEF))
 
 
 def _matvec_by_int64(a_hat, y):
