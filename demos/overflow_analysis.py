@@ -54,6 +54,6 @@ i = int(np.argmax(centered))
 print(f"true coefficient {centered[i]} stored in a byte lane as {byte_prod[i]} "
       f"(wrapped by 256)")
 signing_prod = sparse_mul_branchless(encode_challenge(c, p.tau),
-                                     codec.signing_layout(s, p), p.tau)
+                                     codec.signing_layout(s, p.eta, p), p.tau)
 print(f"the level-3 signing layout ({signing_prod.dtype} lanes) holds it exactly: "
       f"{signing_prod[i]}")

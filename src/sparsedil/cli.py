@@ -17,7 +17,7 @@ import traceback
 import numpy as np
 
 from . import analysis, bench, codec, ring, rounding, scheme, sparse
-from .params import LEVELS, N, Q, ROOT_OF_UNITY, param_set
+from .params import D, LEVELS, N, Q, ROOT_OF_UNITY, param_set
 from .scheme import Backend
 
 _BACKEND_CHOICES = tuple(b.value.replace("_", "-") for b in Backend)
@@ -196,7 +196,7 @@ def _selftest_sections(levels, trials, rng):
                     raise AssertionError("index-based product disagrees with schoolbook")
                 idx = sparse.encode_challenge(c, p.tau)
                 # the lanes the signer multiplies must be exact at every level
-                signing = codec.signing_layout(s, p)
+                signing = codec.signing_layout(s, p.eta, p)
                 got = sparse.sparse_mul_branchless(idx, signing, p.tau).astype(np.int64) % Q
                 if not np.array_equal(want, got):
                     raise AssertionError(
@@ -211,6 +211,14 @@ def _selftest_sections(levels, trials, rng):
                     # a wrapped lane is off by 256 either way
                     if not np.all(np.isin(ring.center(want - got8), (-256, 0, 256))):
                         raise AssertionError("branchless product differs beyond byte wrap")
+                if t == trials:
+                    # the signer's t0 lanes at t0 = 2^12: tau*2^12 is beyond int16
+                    t0 = ring.Poly(np.full(N, 1 << (D - 1)))
+                    want = ring.schoolbook_negacyclic(ring.Poly(c.astype(np.int64) % Q), t0).coeffs
+                    got = sparse.sparse_mul_branchless(
+                        idx, codec.signing_layout(t0.coeffs, 1 << (D - 1), p), p.tau)
+                    if not np.array_equal(want, got.astype(np.int64) % Q):
+                        raise AssertionError("t0 lane product disagrees with schoolbook")
 
         yield f"oracle-chain-level{level}", oracle_chain
 

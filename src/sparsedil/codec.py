@@ -9,11 +9,11 @@ words; `unpack_bits` stays one float32 bit-weight product, which measured
 2-5x faster than unpacking from words.
 
 The private-key decoder deviates from the classic in-memory shape on
-purpose: secrets come back already widened to the 512-entry (-s, s) layout
-consumed by the branchless multiplier, and t0 as signed 16-bit rows, so a
-signing loop never re-derives them across restarts. The secret lanes are
-int8 where tau*eta fits a signed byte (levels 2 and 5) and int16 at level
-3, so every signing product is exact; `signing_layout` makes that choice.
+purpose: s1, s2 and t0 come back already widened to the 512-entry (-v, v)
+layout of the branchless multiplier, so a signing loop never re-derives
+them across restarts. `signing_layout` picks each lane type from tau times
+the coefficient bound, so every signing product is exact: int8 for the
+secrets at levels 2 and 5, int16 at level 3, int32 for t0.
 """
 
 import math
@@ -186,7 +186,7 @@ class DecodedSecret:
     tr: bytes
     s1_ext: np.ndarray      # (l, 512) rows in (-s, s) layout; int8, int16 at level 3
     s2_ext: np.ndarray      # (k, 512) same lanes as s1_ext
-    t0: np.ndarray          # (k, 256) int16
+    t0_ext: np.ndarray      # (k, 512) rows in (-t0, t0) layout; int32
 
 
 def sk_encode(rho: bytes, key: bytes, tr: bytes, s1, s2, t0,
@@ -197,15 +197,16 @@ def sk_encode(rho: bytes, key: bytes, tr: bytes, s1, s2, t0,
             + pack_t0(t0))
 
 
-def signing_layout(s, params: ParameterSet) -> np.ndarray:
-    """Secrets (..., 256) in the extended (-s, s) layout the signer multiplies.
+def signing_layout(s, bound: int, params: ParameterSet) -> np.ndarray:
+    """Rows (..., 256) in the extended (-s, s) layout the signer multiplies.
 
-    `s` must already lie in [-eta, eta], as `unpack_eta` guarantees; unlike
-    `sparse.extend_secret`, this does not check it again. int8 lanes where
-    |c*s| <= tau*eta fits a signed byte; otherwise int16, which holds every
-    partial sum of the product exactly.
+    `s` must already lie in [-bound, bound], as the unpackers guarantee;
+    unlike `sparse.extend_secret`, this does not check it again. The lanes
+    are the narrowest of int8, int16 and int32 that hold tau*bound, so each
+    window sum and their difference, |c*s| <= tau*bound, is exact.
     """
-    s = np.asarray(s, dtype=np.int8 if params.challenge_fits_int8 else np.int16)
+    top = params.tau * bound
+    s = np.asarray(s, dtype=np.int8 if top < 2**7 else np.int16 if top < 2**15 else np.int32)
     return np.concatenate((-s, s), axis=-1)
 
 
@@ -218,12 +219,13 @@ def sk_decode_extended(sk: bytes, params: ParameterSet) -> DecodedSecret:
     if len(sk) != sk_size(params):
         raise DecodeError(f"secret key must be {sk_size(params)} bytes, got {len(sk)}")
     off = 96 + (params.l + params.k) * eta_packed_bytes(params.eta)
-    ext = signing_layout(unpack_eta(sk[96:off], params.l + params.k, params.eta), params)
-    t0 = unpack_t0(sk[off:], params.k).astype(np.int16)
-    for arr in (ext, t0):
+    ext = signing_layout(unpack_eta(sk[96:off], params.l + params.k, params.eta),
+                         params.eta, params)
+    t0_ext = signing_layout(unpack_t0(sk[off:], params.k), 1 << (D - 1), params)
+    for arr in (ext, t0_ext):
         arr.setflags(write=False)
     return DecodedSecret(rho=sk[:32], key=sk[32:64], tr=sk[64:96],
-                         s1_ext=ext[:params.l], s2_ext=ext[params.l:], t0=t0)
+                         s1_ext=ext[:params.l], s2_ext=ext[params.l:], t0_ext=t0_ext)
 
 
 # ---------------------------------------------------------------------------

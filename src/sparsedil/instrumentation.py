@@ -3,7 +3,7 @@
 Counters are disabled unless a `counting()` scope is active, so the hot
 paths pay a single context-variable lookup. Scopes nest: every active scope
 sees every event, which lets a benchmark keep a grand total while a caller
-snapshots one sub-computation. The active scopes live in a context
+counts one sub-computation. The active scopes live in a context
 variable, so a scope counts only the events of its own thread (or asyncio
 task).
 """
@@ -17,9 +17,6 @@ from dataclasses import dataclass
 class Counters:
     modmul: int = 0        # general-width modular multiplications
     xof_bytes: int = 0     # SHAKE output bytes requested
-
-    def snapshot(self) -> "Counters":
-        return Counters(self.modmul, self.xof_bytes)
 
 
 _active: ContextVar[tuple[Counters, ...]] = ContextVar("sparsedil_counters", default=())

@@ -32,19 +32,18 @@ integer and the result is the exact centered representative of x. The last
 stage goes to [0, q) in the same way through floor((x + 1/2)/q)
 (`_to_residues`), as (x + 1/2)/q lies at least 1/(2q) from any integer.
 
+`ntt_values` and `intt_values` center their input before the first
+stage. int64 input is reduced mod q first, so any int64 is taken. Every
+other dtype (float64 included) is centered with `_reduce`, which needs
+integer values below 2^49 in magnitude.
+
 `matvec_hat` is the one A o v stage, summed over l, in float64. Its
 operands are below q in magnitude (A as sampled in [0, q), v as
 `ntt_values` returns it or reduced), so every product is below 2^46 and
 every sum of at most l <= 7 of them below 2^49: exact. It does not reduce;
-keygen and verify hand the sum to `intt_values`, which centers it first.
-
-`ntt_matvec` chains the signer's w = INTT(A o NTT(y)) for a block of masks
-through that stage without leaving float64, reducing after each stage.
-With |y| <= (q-1)/2:
-
-  NTT(y)       two stages, each sum < 2^48, reduced to centered
-  A o NTT(y)   l <= 7 products < 2^45 each (A in [0, q)), sums < 2^48, reduced
-  INTT         two stages, each sum < 2^48, the last into [0, q)
+keygen, sign and verify all compute w = INTT(A o NTT(v)) as
+`intt_values(matvec_hat(A, ntt_values(v)))`, and `intt_values` centers
+that float64 sum with `_reduce`.
 
 The modmul counter charges the butterfly NTT's cost model, the paper's
 baseline, not the stage products' work: 8 layers of 128 products per
@@ -175,26 +174,35 @@ def _inverse(x) -> np.ndarray:
     return w.transpose(1, 2, 0).astype(np.int64, order="C").reshape(-1, N)
 
 
+def _centered(x: np.ndarray) -> np.ndarray:
+    """Centered representatives of integers: any int64, other dtypes below 2^49."""
+    if x.dtype == np.int64:
+        return center(x)
+    return _reduce(x.astype(np.float64))
+
+
 def ntt_values(a) -> np.ndarray:
     """Forward transform of standard-order coefficients, any leading shape.
 
-    Output i is a(zeta^(2*brv(i) + 1)) mod q, int64 in [0, q); counted
-    _NTT_MODMULS per row.
+    Takes any int64, or integer values of another dtype below 2^49 in
+    magnitude. Output i is a(zeta^(2*brv(i) + 1)) mod q, int64 in [0, q);
+    counted _NTT_MODMULS per row.
     """
     a = np.asarray(a)
     instrumentation.add_modmul(_rows(a) * _NTT_MODMULS)
-    return _to_residues(_forward(center(a))).astype(np.int64).reshape(a.shape)
+    return _to_residues(_forward(_centered(a))).astype(np.int64).reshape(a.shape)
 
 
 def intt_values(fhat) -> np.ndarray:
     """Inverse transform, including the 1/256 scaling; int64 in [0, q).
 
-    Takes any integers (also integer-valued float64); counted _INTT_MODMULS
+    Takes any int64, or integer values of another dtype below 2^49 in
+    magnitude, such as `matvec_hat`'s float64 sums; counted _INTT_MODMULS
     per row.
     """
     fhat = np.asarray(fhat)
     instrumentation.add_modmul(_rows(fhat) * _INTT_MODMULS)
-    return _inverse(center(fhat)).reshape(fhat.shape)
+    return _inverse(_centered(fhat)).reshape(fhat.shape)
 
 
 def ntt_product(a_hat, b_hat) -> np.ndarray:
@@ -215,23 +223,6 @@ def matvec_hat(a_hat: np.ndarray, v_hat) -> np.ndarray:
         a_hat = a_hat.astype(np.float64)
     instrumentation.add_modmul(_rows(v_hat) * len(a_hat) * N)
     return np.einsum("kln,...ln->...kn", a_hat, v_hat)
-
-
-def ntt_matvec(a_hat: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """w = INTT(A o NTT(y)), summed over l, for a block of vectors at once.
-
-    `a_hat` is the (k, l, 256) NTT-domain matrix, `y` a (b, l, 256) block
-    of centered vectors, each |y| <= (q-1)/2. Returns (b, k, 256) int64 in
-    [0, q), exact by the module's bound, without leaving float64 between
-    the stages. Counted as l forward and k inverse transforms per vector
-    plus `matvec_hat`.
-    """
-    b, l = y.shape[:2]
-    k = a_hat.shape[0]
-    instrumentation.add_modmul(b * (l * _NTT_MODMULS + k * _INTT_MODMULS))
-    y_hat = _reduce(_forward(y))
-    acc = _reduce(matvec_hat(a_hat, y_hat.reshape(b, l, N)))
-    return _inverse(acc).reshape(b, k, N)
 
 
 def _require(cond: bool, msg: str) -> None:

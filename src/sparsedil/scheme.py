@@ -1,36 +1,33 @@
 """KeyGen / Sign / Verify with a selectable challenge-multiplication backend.
 
 Signing is deterministic by default. The rejection loop follows the classic
-structure; a backend is a way to compute c*s1 and c*s2 plus the order in
-which the z and r0 checks run (`_CHECK_ORDER`). Each product is computed
-inside its check, so an attempt that fails its first check never computes
-the second product, as in the round-3 reference signer:
+structure; a backend is a way to compute c*s1, c*s2 and c*t0 plus the order
+in which the z and r0 checks run (`_CHECK_ORDER`). c*s1 and c*s2 are each
+computed inside their check, so an attempt that fails its first check never
+computes the other, as in the round-3 reference signer:
 
-  ntt           c*s1, c*s2 through the NTT, each inside its check;
+  ntt           all three products through the NTT (the paper's baseline);
                 z check first, then r0
-  sparse        the fused pair: each product is one gather of the tau
-                challenge windows over all rows of the predecoded extended
-                secrets, summed in their lanes (int8, int16 at level 3),
-                then checked as a whole vector (`fused_z`, `fused_r0`);
-                z first, then r0
-  sparse_fused  the same fused pair with r0 FIRST, then z (restarts are
+  sparse        each product is one gather of the tau challenge windows
+                over all predecoded extended rows, summed in their lanes
+                (int8, int16 at level 3, int32 for t0); c*s1 and c*s2 are
+                checked as whole vectors (`fused_z`, `fused_r0`); z first
+  sparse_fused  the same products with r0 FIRST, then z (restarts are
                 cheaper when the more selective check leads)
 
-c*t0 always goes through the NTT: t0 coefficients do not fit signed bytes.
-The byte-lane backends transform c only once z and r0 have accepted.
-The lane products are exact at every level, so all three backends produce
+The products are exact at every level, so all three backends produce
 byte-identical signatures, and sparse_fused is the default everywhere.
 
 Attempts run in speculative blocks of SIGN_BLOCK. Attempts are independent
 until their checks run, so a block draws all its masks, computes every
-w = A*y in one exact float64 chain (`ring.ntt_matvec`) and packs every w1
-at once. The hash, the challenge and the checks then run one attempt at a
-time in kappa order, and the first attempt that passes is signed: the
-output is the sequential signer's, and a trace lists only the attempts up
-to the accepted one. Masks are drawn last attempt first, so a block's last
-`expand_mask` call, its first `decompose` call and the `sample_in_ball`
-call after that all belong to one attempt (the benchmark's tracer pairs
-them up as one attempt's kernel inputs).
+w = A*y as keygen and verify do, `intt_values(matvec_hat(A, ntt_values(y)))`,
+and packs every w1 at once. The hash, the challenge and the checks then run
+one attempt at a time in kappa order, and the first attempt that passes is
+signed: the output is the sequential signer's, and a trace lists only the
+attempts up to the accepted one. Masks are drawn last attempt first, so a
+block's last `expand_mask` call, its first `decompose` call and the
+`sample_in_ball` call after that all belong to one attempt (the
+benchmark's tracer pairs them up as one attempt's kernel inputs).
 """
 
 import enum
@@ -42,11 +39,12 @@ import numpy as np
 from . import codec, instrumentation
 from .keccak import shake256
 from .params import N, Q, ParameterSet, param_set
-from .ring import center, intt_values, matvec_hat, ntt_matvec, ntt_product, ntt_values
+from .ring import center, intt_values, matvec_hat, ntt_product, ntt_values
 from .rounding import (decompose, hint_weight, make_hint, norm_inf_exceeds,
                        power2round, use_hint)
 from .sampling import expand_a, expand_mask, expand_s, sample_in_ball
-from .sparse import encode_challenge, fused_r0, fused_z, r0_check, z_check
+from .sparse import (encode_challenge, fused_r0, fused_z, r0_check,
+                     sparse_mul_branchless_vec, z_check)
 
 
 # Every level accepts an attempt with probability about 0.2 or more (1/5.1 at
@@ -135,9 +133,9 @@ def sign(params: ParameterSet, sk: bytes, message: bytes,
     rho_pp = os.urandom(64) if randomized else shake256(dec.key + mu, 64)
 
     # per-call precomputation; restarts reuse all of it untouched
-    t0_hat = ntt_values(dec.t0)
     if backend is Backend.NTT:
-        s1_hat, s2_hat = ntt_values(dec.s1_ext[:, N:]), ntt_values(dec.s2_ext[:, N:])
+        s1_hat, s2_hat, t0_hat = (ntt_values(ext[:, N:])
+                                  for ext in (dec.s1_ext, dec.s2_ext, dec.t0_ext))
 
     gamma2, alpha = params.gamma2, params.alpha
     z_bound, r0_bound = params.gamma1 - params.beta, gamma2 - params.beta
@@ -150,11 +148,13 @@ def sign(params: ParameterSet, sk: bytes, message: bytes,
         if backend is Backend.NTT:
             c_hat = ntt_values(c)
             run = {"z": lambda: z_check(y, _ntt_cs(c_hat, s1_hat), z_bound),
-                   "r0": lambda: r0_check(w, _ntt_cs(c_hat, s2_hat), gamma2, r0_bound)}
+                   "r0": lambda: r0_check(w, _ntt_cs(c_hat, s2_hat), gamma2, r0_bound),
+                   "ct0": lambda: _ntt_cs(c_hat, t0_hat)}
         else:
-            c_hat, index = None, encode_challenge(c, params.tau)
+            index = encode_challenge(c, params.tau)
             run = {"z": lambda: fused_z(index, dec.s1_ext, y, z_bound),
-                   "r0": lambda: fused_r0(index, dec.s2_ext, w, gamma2, r0_bound)}
+                   "r0": lambda: fused_r0(index, dec.s2_ext, w, gamma2, r0_bound),
+                   "ct0": lambda: sparse_mul_branchless_vec(index, dec.t0_ext, params.tau)}
 
         done = {}
         for check in _CHECK_ORDER[backend]:
@@ -163,9 +163,7 @@ def sign(params: ParameterSet, sk: bytes, message: bytes,
             if not done[check].ok:
                 break
         else:
-            z, cs2 = done["z"].z, done["r0"].cs2
-            # c*t0 stays on the NTT path (t0 exceeds the 8-bit range)
-            ct0 = _ntt_cs(ntt_values(c) if c_hat is None else c_hat, t0_hat)
+            z, cs2, ct0 = done["z"].z, done["r0"].cs2, run["ct0"]()
             h = make_hint(-ct0, (w - cs2 + ct0) % Q, alpha)
             checks.append("ct0")
             if not norm_inf_exceeds(ct0, gamma2):
@@ -194,7 +192,7 @@ def _speculative_attempts(params, a_hat, rho_pp):
         kappas = range(first, min(first + SIGN_BLOCK, MAX_SIGN_ATTEMPTS))
         ys = np.stack([expand_mask(rho_pp, kappa * params.l, params).coeffs
                        for kappa in reversed(kappas)][::-1])
-        ws = ntt_matvec(a_hat, ys)
+        ws = intt_values(matvec_hat(a_hat, ntt_values(ys)))
         w1_bytes = codec.pack_w1(np.stack([decompose(w, params.alpha)[0] for w in ws]), params)
         size = len(w1_bytes) // len(kappas)
         for i in range(len(kappas)):
@@ -225,7 +223,7 @@ def _charged(trace, check, run):
 
 
 def _ntt_cs(c_hat, s_hat):
-    """c*s (or c*t0) through the NTT from ntt(c) and ntt(s); centered int64."""
+    """c*s1, c*s2 or c*t0 through the NTT from ntt(c) and ntt(s); centered int64."""
     return center(intt_values(ntt_product(c_hat, s_hat)))
 
 

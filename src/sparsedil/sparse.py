@@ -17,11 +17,13 @@ equal those of the paper's packed-lane (SWAR) accumulation on 32-bit
 words of four signed bytes; `packed_add_lanes`/`packed_sub_lanes`
 reproduce that arithmetic and are the kernel's test oracle. Where
 tau*eta <= 127 (levels 2 and 5) int8 is exact; at level 3 (196) a byte
-lane can wrap, so the signing layout (`codec.sk_decode_extended`) widens
-level-3 rows to int16, on which every partial sum is exact. The fused
-kernels gather c*s1 (or c*s2) for the whole vector at once and run the z
-(or r0) check on it; the signer runs one of them first, so an attempt that
-fails that check never computes the other product.
+lane can wrap, so the signing layout (`codec.signing_layout`) widens
+level-3 rows to int16, on which every partial sum is exact. The same
+kernel computes c*t0 on int32 rows: |t0| <= 2^12, so every sum is at most
+tau*2^12 <= 245,760. The fused kernels gather c*s1 (or c*s2) for the whole
+vector at once and run the z (or r0) check on it; the signer runs one of
+them first, so an attempt that fails that check never computes the other
+product.
 """
 
 from typing import NamedTuple
@@ -113,12 +115,12 @@ def _window_view(ext_rows: np.ndarray) -> np.ndarray:
     """Read-only (..., 257, 256) view of every window of the extended secrets.
 
     Entry [..., 256-k, :] is ext[256-k .. 511-k], the window of challenge
-    index k; nothing is copied. Rows are int8 (the paper's byte lanes) or
-    int16 (exact for every tau*eta of Dilithium).
+    index k; nothing is copied. Rows are int8 (the paper's byte lanes),
+    int16 (exact for every tau*eta of Dilithium) or int32 (exact for t0).
     """
     ext_rows = np.asarray(ext_rows)
-    if ext_rows.dtype not in (np.int8, np.int16) or ext_rows.shape[-1:] != (2 * N,):
-        raise ValueError("extended secrets must be rows of 512 int8 or int16 lanes")
+    if ext_rows.dtype not in (np.int8, np.int16, np.int32) or ext_rows.shape[-1:] != (2 * N,):
+        raise ValueError("extended secrets must be rows of 512 int8, int16 or int32 lanes")
     step = ext_rows.strides[-1]
     return as_strided(ext_rows, ext_rows.shape[:-1] + (N + 1, N),
                       ext_rows.strides[:-1] + (step, step), writeable=False)
@@ -129,8 +131,8 @@ def _gather_product(index, ext_rows: np.ndarray) -> np.ndarray:
 
     Wrapping addition is associative, so summing the +1 and -1 windows
     separately in int8 gives the same bytes as accumulating them one by one
-    in packed lanes. In int16 each sum is at most tau*eta and their
-    difference at most 2*tau*eta, so the result is exact.
+    in packed lanes. In the wider lanes the result is exact while tau times
+    the largest |entry| fits them, as `codec.signing_layout` ensures.
     """
     index = np.asarray(index, dtype=np.uint8)
     poscnt = int(index[0])
@@ -143,15 +145,15 @@ def _gather_product(index, ext_rows: np.ndarray) -> np.ndarray:
 def sparse_mul_branchless_vec(index, ext_rows: np.ndarray, tau: int) -> np.ndarray:
     """Branchless c*s for a whole vector of extended secrets at once.
 
-    `ext_rows` has shape (m, 512), int8 or int16 lanes, and the result has
-    their dtype; one shared challenge index list drives all rows. The
-    gather and both sums have shapes fixed by (poscnt, tau); secrets are
-    touched only through public window offsets.
+    `ext_rows` has shape (m, 512), int8, int16 or int32 lanes, and the
+    result has their dtype; one shared challenge index list drives all
+    rows. The gather and both sums have shapes fixed by (poscnt, tau);
+    secrets are touched only through public window offsets.
     """
     if np.shape(index) != (tau + 1,):
         raise ValueError(f"index list must have {tau + 1} entries")
     if np.ndim(ext_rows) != 2:
-        raise ValueError("extended secrets must be rows of 512 int8 or int16 lanes")
+        raise ValueError("extended secrets must be rows of 512 int8, int16 or int32 lanes")
     return _gather_product(index, ext_rows)
 
 

@@ -137,7 +137,8 @@ def test_sk_decode_pipeline_identity(keypairs):
         t = (intt_values((A.coeffs.astype(np.int64)
                           * ntt_values(s1)[None, :, :]).sum(axis=1) % Q) + s2) % Q
         t1, t0 = power2round(t)
-        assert np.array_equal(dec.t0, t0)
+        assert np.array_equal(dec.t0_ext[:, N:], t0)
+        assert np.array_equal(dec.t0_ext[:, :N], -t0)
         rho_pk, t1_pk = codec.pk_decode(pk, p)
         assert np.array_equal(t1_pk, t1)
 
@@ -149,7 +150,9 @@ def test_sk_decode_returns_readonly_arrays(keypairs):
         # byte lanes where tau*eta fits int8; 16-bit lanes for level 3's 196
         lanes = np.int8 if lv in (2, 5) else np.int16
         assert dec.s1_ext.dtype == dec.s2_ext.dtype == lanes
-        for arr in (dec.s1_ext, dec.s2_ext, dec.t0):
+        # tau*2^12 needs 32-bit lanes at every level
+        assert dec.t0_ext.dtype == np.int32
+        for arr in (dec.s1_ext, dec.s2_ext, dec.t0_ext):
             with pytest.raises(ValueError):
                 arr[0, 0] = 1
 
@@ -411,7 +414,7 @@ def test_signing_layout_matches_extend_secret():
         p = param_set(lv)
         s = rng.integers(-p.eta, p.eta + 1, (p.l + p.k, N))
         s[0, :2] = (-p.eta, p.eta)
-        got = codec.signing_layout(s, p)
+        got = codec.signing_layout(s, p.eta, p)
         assert got.dtype == (np.int8 if p.challenge_fits_int8 else np.int16)
         assert np.array_equal(got, sparse.extend_secret(s, p.eta))
-        assert np.array_equal(codec.signing_layout(s[0], p), got[0])
+        assert np.array_equal(codec.signing_layout(s[0], p.eta, p), got[0])

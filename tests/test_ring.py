@@ -200,6 +200,27 @@ def test_intt_inverts_ntt_on_full_range():
         assert np.array_equal(ring.intt_values(ring.ntt_values(row)), row)
 
 
+def test_every_input_dtype_transforms_as_int64():
+    # int64 is reduced mod q first; every other dtype is centered in float64,
+    # exact below 2^49: each integer dtype's full range, float64 to 2^49 - 1
+    rng = np.random.default_rng(13)
+    inputs = []
+    for dtype in (np.int8, np.int16, np.int32):
+        info = np.iinfo(dtype)
+        x = rng.integers(info.min, info.max, (3, N), endpoint=True, dtype=dtype)
+        x[0, :2] = info.min, info.max
+        inputs.append(x)
+    top = 2**49 - 1
+    x = rng.integers(-top, top, (3, N), endpoint=True).astype(np.float64)
+    x[0, :4] = -top, top, -Q * (2**25), Q * (2**25) + (Q - 1) // 2
+    inputs.append(x)
+    for x in inputs:
+        ref = x.astype(np.int64)
+        for fn in (ring.ntt_values, ring.intt_values):
+            got = fn(x)
+            assert got.dtype == np.int64 and np.array_equal(got, fn(ref)), (x.dtype, fn)
+
+
 @pytest.mark.parametrize("i", [0, 1, 2, 127, 128, 200, 255])
 @pytest.mark.parametrize("m", [HALF, HALF - 1], ids=["half", "odd"])
 def test_worst_case_magnitude_is_exact(i, m):
@@ -266,9 +287,10 @@ def test_definition_matrices_match_horner():
 
 @pytest.mark.parametrize("level", LEVELS)
 def test_transforms_match_definition_at_every_row_count(level):
-    # the row counts the program transforms at once: ntt(c), k rows (t0, the
-    # INTT of c*t0, keygen's t), l rows (keygen's s1), verify's 1 + k + l, and
-    # ntt_matvec's 2l forward and 2k inverse rows for a block of two masks
+    # the row counts the program transforms at once: the ntt backend's ntt(c),
+    # k rows (keygen's t; on ntt s2, t0 and the INTT of c*s2 or c*t0), l rows
+    # (keygen's s1), verify's 1 + k + l, and the 2l forward and 2k inverse
+    # rows of w = A*y for a block of two masks
     p = param_set(level)
     rng = np.random.default_rng(level)
     for rows in (1, p.k, p.l, 1 + p.k + p.l, 2 * p.l, 2 * p.k):
@@ -281,7 +303,7 @@ def test_transforms_match_definition_at_every_row_count(level):
     y = rng.integers(-p.gamma1 + 1, p.gamma1 + 1, (2, p.l, N))
     want = _by_definition((a_hat * _by_definition(y, _NTT_DEF)[:, None]).sum(axis=2) % Q,
                           _INTT_DEF)
-    assert np.array_equal(ring.ntt_matvec(a_hat.astype(np.float64), y), want)
+    assert np.array_equal(_w_chain(a_hat.astype(np.float64), y.astype(np.int32)), want)
 
 
 def _stage_input(stage, m):
@@ -342,8 +364,13 @@ def test_stage_sum_at_its_bound_is_exact(stage, m, monkeypatch):
     assert np.array_equal(got, _by_definition(x, _NTT_DEF if fn is ring.ntt_values else _INTT_DEF))
 
 
+def _w_chain(a_hat, y):
+    """w = INTT(A o NTT(y)) as keygen, sign and verify compute it."""
+    return ring.intt_values(ring.matvec_hat(a_hat, ring.ntt_values(y)))
+
+
 def _matvec_by_int64(a_hat, y):
-    """The int64 reference for ntt_matvec: transform, product mod q, inverse, per vector."""
+    """The int64 reference for the w chain: transform, product mod q, inverse, per vector."""
     a64 = np.asarray(a_hat, dtype=np.int64)
     return np.stack([ring.intt_values((a64 * ring.ntt_values(v)).sum(axis=1) % Q) for v in y])
 
@@ -360,10 +387,10 @@ def test_ntt_matvec_matches_int64_path_at_worst_case(k, l, gamma1):
     # y whose transform is +-(q-1)/2 with the sign of A's first row: every
     # product of that row adds (q-1)^2/4, the largest pointwise sum
     y.append(ring.center(ring.intt_values(sign[0] * half % Q)))
-    y = np.stack(y)
+    y = np.stack(y).astype(np.int32)          # the signer's mask dtype
     a_float = ring.center(a_hat).astype(np.float64)
     with instrumentation.counting() as cn:
-        got = ring.ntt_matvec(a_float, y)
+        got = _w_chain(a_float, y)
     with instrumentation.counting() as ref_cn:
         want = _matvec_by_int64(a_hat, y)
     assert got.dtype == np.int64 and got.shape == (len(y), k, N)
@@ -371,11 +398,11 @@ def test_ntt_matvec_matches_int64_path_at_worst_case(k, l, gamma1):
     # the butterfly model: the reference's transforms plus k*l pointwise products
     assert cn.modmul == ref_cn.modmul + len(y) * k * l * N
     for a in (np.full((k, l, N), half), np.full((k, l, N), Q - half)):
-        assert np.array_equal(ring.ntt_matvec(ring.center(a).astype(np.float64), y),
+        assert np.array_equal(_w_chain(ring.center(a).astype(np.float64), y),
                               _matvec_by_int64(a, y))
     # the signer passes A as sampled, in [0, q): q - 1 is the largest entry
     for a in (np.full((k, l, N), Q - 1), a_hat):
-        assert np.array_equal(ring.ntt_matvec(a.astype(np.float64), y), _matvec_by_int64(a, y))
+        assert np.array_equal(_w_chain(a.astype(np.float64), y), _matvec_by_int64(a, y))
     # keygen and verify pass A as sampled and v_hat as ntt_values returns it,
     # both uncentered: at q - 1 each sum of l = 7 products reaches 7(q-1)^2 ~ 2^48.8
     top = np.full((k, 7, N), Q - 1)
@@ -394,5 +421,5 @@ def test_ntt_matvec_random_blocks():
     for b in (1, 2, 3):
         a_hat = rng.integers(0, Q, (3, 2, N))
         y = rng.integers(-((Q - 1) // 2), (Q - 1) // 2 + 1, (b, 2, N))
-        got = ring.ntt_matvec(ring.center(a_hat).astype(np.float64), y)
+        got = _w_chain(ring.center(a_hat).astype(np.float64), y)
         assert np.array_equal(got, _matvec_by_int64(a_hat, y))

@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from sparsedil import codec, scheme, sparse
+from sparsedil import codec, instrumentation, scheme, sparse
 from sparsedil.keccak import shake256
 from sparsedil.params import LEVELS, N, Q, param_set
 from sparsedil.ring import intt_values, ntt_values
@@ -49,7 +49,7 @@ def test_t_reconstruction(keypairs):
         s2 = dec.s2_ext[:, N:].astype(np.int64)
         t = (intt_values((A.coeffs.astype(np.int64)
                           * ntt_values(s1)[None, :, :]).sum(axis=1) % Q) + s2) % Q
-        assert np.array_equal((t1 * (1 << p.d) + dec.t0) % Q, t)
+        assert np.array_equal((t1 * (1 << p.d) + dec.t0_ext[:, N:]) % Q, t)
 
 
 @pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.value)
@@ -204,26 +204,41 @@ def test_decode_once_per_sign_despite_restarts(keypairs, params):
     assert len(tr.iterations) == tr.restarts + 1
 
 
-def test_sparse_fused_transforms_challenge_once(keypairs, monkeypatch):
-    # ntt(c) is needed only for c*t0, so attempts rejected by z or r0 skip it
-    p = param_set(2)
-    _, sk = keypairs[2]
-    challenge_ntts = []
-    real = scheme.ntt_values
+@pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.value)
+def test_only_ntt_transforms_outside_the_w_chain(keypairs, params, backend, monkeypatch):
+    # on the byte lanes every transform and every modmul of `sign` belongs to
+    # the w = A*y chain, so c*s1, c*s2 and c*t0 are all gathers; ntt, the
+    # paper's baseline, also transforms c once per attempt
+    _, sk = keypairs[params.level]
+    calls, inside = [], []
 
-    def counting_ntt(a):
-        if np.ndim(a) == 1:
-            challenge_ntts.append(a)
-        return real(a)
+    def watched(fn):
+        def wrapper(*args):
+            calls.append((fn.__name__, np.shape(args[-1])))
+            with instrumentation.counting() as cn:
+                out = fn(*args)
+            inside.append(cn.modmul)
+            return out
+        return wrapper
 
-    monkeypatch.setattr(scheme, "ntt_values", counting_ntt)
+    for name in ("ntt_values", "intt_values", "matvec_hat"):
+        monkeypatch.setattr(scheme, name, watched(getattr(scheme, name)))
+    b, l, k = scheme.SIGN_BLOCK, params.l, params.k
+    chain = [("ntt_values", (b, l, N)), ("matvec_hat", (b, l, N)), ("intt_values", (b, k, N))]
     restarted = False
-    for i in range(8):
-        challenge_ntts.clear()
+    for i in range(6):
+        calls.clear()
+        inside.clear()
         tr = SignTrace()
-        scheme.sign(p, sk, b"lazy ntt %d" % i, backend=Backend.SPARSE_FUSED, trace=tr)
-        assert len(challenge_ntts) == sum("ct0" in checks for checks in tr.iterations)
-        restarted |= tr.restarts > 0 and len(challenge_ntts) == 1
+        with instrumentation.counting() as total:
+            scheme.sign(params, sk, b"w chain %d" % i, backend=backend, trace=tr)
+        attempts = len(tr.iterations)
+        restarted |= attempts > 1
+        if backend is Backend.NTT:
+            assert calls.count(("ntt_values", (N,))) == attempts
+        else:
+            assert calls == chain * -(-attempts // b)
+            assert total.modmul == sum(inside) > 0
     assert restarted
 
 
@@ -474,3 +489,20 @@ def test_threads_sharing_a_key_sign_as_one_thread(keypairs):
     finally:
         sys.setswitchinterval(switch)
     assert any(cs1 > 0 for _, _, cs1, _ in serial)
+
+
+def test_t0_lanes_are_exact_on_worst_case(params):
+    # tau aligned +1 windows over t0 = 2^12 everywhere reach tau*2^12, beyond
+    # int16 at every level; the decoded t0 rows must hold it exactly
+    from sparsedil.ring import Poly, center, schoolbook_negacyclic
+    c = np.zeros(N, dtype=np.int8)
+    c[:params.tau] = 1
+    t0 = np.full((params.k, N), 1 << (params.d - 1))
+    sk = codec.sk_encode(bytes(32), bytes(32), bytes(32), np.zeros((params.l, N)),
+                         np.zeros((params.k, N)), t0, params)
+    dec = codec.sk_decode_extended(sk, params)
+    want = schoolbook_negacyclic(Poly(c.astype(np.int64)), Poly(t0[0])).coeffs
+    assert center(want).max() == params.tau << (params.d - 1) > 2**15
+    idx = sparse.encode_challenge(c, params.tau)
+    got = sparse.sparse_mul_branchless_vec(idx, dec.t0_ext, params.tau)
+    assert np.array_equal(got.astype(np.int64) % Q, np.broadcast_to(want, (params.k, N)))
