@@ -12,6 +12,7 @@ Run:  python demos/overflow_analysis.py
 import numpy as np
 
 from sparsedil import analysis, codec, param_set
+from sparsedil.params import Q
 from sparsedil.ring import Poly
 from sparsedil.sparse import encode_challenge, extend_secret, sparse_mul_branchless, sparse_mul_indexed
 
@@ -46,8 +47,8 @@ p = param_set(3)
 c = np.zeros(256, dtype=np.int8)
 c[:p.tau] = 1                      # 49 aligned +1 windows
 s = np.full(256, 4, dtype=np.int8)  # every secret coefficient at +eta
-exact = sparse_mul_indexed(c, Poly(s.astype(np.int64) % p.q)).coeffs
-centered = np.where(exact > p.q // 2, exact - p.q, exact)
+exact = sparse_mul_indexed(c, Poly(s.astype(np.int64) % Q)).coeffs
+centered = np.where(exact > Q // 2, exact - Q, exact)
 byte_prod = sparse_mul_branchless(encode_challenge(c, p.tau),
                                   extend_secret(s, p.eta), p.tau)
 i = int(np.argmax(centered))

@@ -10,6 +10,7 @@ Run:  python demos/sparse_multiplication.py
 import numpy as np
 
 from sparsedil import param_set
+from sparsedil.params import Q
 from sparsedil.ring import Poly, inv_ntt, ntt, pointwise_mul, schoolbook_negacyclic
 from sparsedil.sparse import (encode_challenge, extend_secret,
                               sparse_mul_branchless, sparse_mul_indexed)
@@ -30,11 +31,11 @@ print(f"challenge: {np.count_nonzero(c == 1)} coefficients at +1, "
 print(f"secret:    256 coefficients in [-{p.eta}, {p.eta}]")
 
 # (1) quadratic schoolbook in Z_q - the ground truth
-a = Poly(s.astype(np.int64) % p.q)
-ground_truth = schoolbook_negacyclic(Poly(c.astype(np.int64) % p.q), a).coeffs
+a = Poly(s.astype(np.int64) % Q)
+ground_truth = schoolbook_negacyclic(Poly(c.astype(np.int64) % Q), a).coeffs
 
 # (2) the NTT route every classic implementation takes
-via_ntt = inv_ntt(pointwise_mul(ntt(Poly(c.astype(np.int64) % p.q)), ntt(a))).coeffs
+via_ntt = inv_ntt(pointwise_mul(ntt(Poly(c.astype(np.int64) % Q)), ntt(a))).coeffs
 print("\nNTT product equals schoolbook:      ", np.array_equal(ground_truth, via_ntt))
 
 # (3) index-driven accumulation into 2n cells, then the negacyclic fold
@@ -56,6 +57,6 @@ print(f"extended secret: ext[j] = -s_j, ext[256+j] = s_j "
 
 # ... and gather the tau byte windows, summing them in wrapping int8
 prod8 = sparse_mul_branchless(index, ext, p.tau)
-lifted = prod8.astype(np.int64) % p.q
+lifted = prod8.astype(np.int64) % Q
 print("branchless byte product equals oracle:", np.array_equal(ground_truth, lifted))
 print(f"byte product magnitude <= tau*eta = {p.beta}: {int(np.abs(prod8).max())}")

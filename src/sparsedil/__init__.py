@@ -7,14 +7,13 @@ the NTT remains available as a backend and as a correctness oracle.
 """
 
 from .params import LEVELS, ParameterSet, param_set
-from .scheme import (Backend, Dilithium, SignTrace, SigningAttemptsExceeded, default_backend,
-                     keygen, sign, verify)
+from .scheme import (Backend, SignTrace, SigningAttemptsExceeded, default_backend, keygen,
+                     sign, verify)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Backend",
-    "Dilithium",
     "LEVELS",
     "ParameterSet",
     "SignTrace",

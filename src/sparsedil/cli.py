@@ -315,12 +315,9 @@ def cmd_bench(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    eta, tau, vec_len = args.eta, args.tau, None
-    if args.level is not None:
-        p = param_set(args.level)
-        eta, tau, vec_len = p.eta, p.tau, p.l
-    elif (eta, tau) == (4, 49):
-        vec_len = param_set(3).l
+    eta, tau = args.eta, args.tau
+    # the signature vector length of the level whose (eta, tau) these are, if any
+    vec_len = next((p.l for p in map(param_set, LEVELS) if (p.eta, p.tau) == (eta, tau)), None)
     dist = analysis.exact_sum_distribution(eta, tau)
     strict = analysis.tail_fraction(dist, args.bound)
     print(f"sum of tau={tau} uniforms on [-{eta}, {eta}]; support [-{tau*eta}, {tau*eta}]")
@@ -333,7 +330,7 @@ def cmd_analyze(args) -> int:
     print(f"                                     stable          = {rep.per_poly_stable!r}")
     if rep.per_vector_stable is not None:
         print(f"wrap per signature vector (l={vec_len}): {rep.per_vector_stable!r}")
-    if args.trials:
+    if args.trials is not None:
         seen = analysis.monte_carlo_overflow(eta, tau, args.bound - 1,
                                              args.trials, args.seed_int)
         print(f"monte carlo: {seen} of {args.trials} samples reached |u| >= {args.bound} "
@@ -342,7 +339,7 @@ def cmd_analyze(args) -> int:
 
 
 def _count(text: str) -> int:
-    """argparse type of a run count: below 1, a self-test or bench would check nothing."""
+    """argparse type of a count: below 1, a self-test, bench or analysis would check nothing."""
     try:
         if (value := int(text)) >= 1:
             return value
@@ -398,14 +395,12 @@ def build_parser() -> argparse.ArgumentParser:
     bn.set_defaults(fn=cmd_bench)
 
     an = sub.add_parser("analyze", help="byte-overflow probability analysis")
-    an.add_argument("--eta", type=int, default=4)
-    an.add_argument("--tau", type=int, default=49)
-    an.add_argument("--bound", type=int, default=128,
+    an.add_argument("--eta", type=_count, default=4)
+    an.add_argument("--tau", type=_count, default=49)
+    an.add_argument("--bound", type=_count, default=128,
                     help="smallest magnitude that no longer fits the lane")
-    an.add_argument("--level", type=int, choices=LEVELS,
-                    help="take eta/tau/vector length from a parameter set")
-    an.add_argument("--trials", type=int, default=0,
-                    help="optional Monte Carlo confirmation sample count")
+    an.add_argument("--trials", type=_count,
+                    help="Monte Carlo confirmation sample count (default: no Monte Carlo)")
     an.add_argument("--seed-int", type=int, default=0, dest="seed_int")
     an.set_defaults(fn=cmd_analyze)
     return ap

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import D, LEVELS, N, ParameterSet, param_set
+from .params import D, LEVELS, N, Q, ParameterSet, param_set
 
 
 class DecodeError(ValueError):
@@ -128,7 +128,7 @@ def unpack_z(data: bytes, params: ParameterSet) -> np.ndarray:
 
 def pack_w1(w1, params: ParameterSet) -> bytes:
     v = np.asarray(w1, dtype=np.int64)
-    top = (params.q - 1) // params.alpha - 1
+    top = (Q - 1) // params.alpha - 1
     _check_range(v, 0, top, "w1")
     return pack_bits(v, top.bit_length())
 

@@ -28,9 +28,6 @@ class ParameterSet:
     gamma1: int     # mask coefficient bound (power of two)
     gamma2: int     # low-order rounding range
     omega: int      # maximum signature hint weight
-    q: int = Q
-    n: int = N
-    d: int = D
 
     @property
     def beta(self) -> int:

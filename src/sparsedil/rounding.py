@@ -11,11 +11,11 @@ from .params import D, Q
 from .ring import center
 
 
-def power2round(r, d: int = D):
-    """Split r = r1 * 2^d + r0 with r0 in (-2^(d-1), 2^(d-1)]."""
+def power2round(r):
+    """Split r = r1 * 2^D + r0 with r0 in (-2^(D-1), 2^(D-1)], D = 13 at every level."""
     r = np.asarray(r, dtype=np.int64)
-    r1 = (r + (1 << (d - 1)) - 1) >> d
-    r0 = r - (r1 << d)
+    r1 = (r + (1 << (D - 1)) - 1) >> D
+    r0 = r - (r1 << D)
     return r1, r0
 
 

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import codec, instrumentation
 from .keccak import shake256
-from .params import N, Q, ParameterSet, param_set
+from .params import D, N, Q, ParameterSet
 from .ring import center, intt_values, matvec_hat, ntt_product, ntt_values
 from .rounding import (decompose, hint_weight, make_hint, norm_inf_exceeds,
                        power2round, use_hint)
@@ -74,7 +74,7 @@ def default_backend(level: int) -> Backend:
 
     Its lane products are exact at every level (int16 lanes at level 3). One
     backend sweep (sign-resident, seed 7, --trace 1, 2-core Xeon) signed in
-    1.20/1.64/1.65 ms at L2/L3/L5; sparse 1.22/1.67/1.66, ntt 1.54/2.15/2.21.
+    1.76/2.39/2.19 ms at L2/L3/L5; sparse 1.74/2.42/2.25, ntt 2.33/2.99/2.77.
     """
     return Backend.SPARSE_FUSED
 
@@ -244,26 +244,9 @@ def verify(params: ParameterSet, pk: bytes, message: bytes, sig: bytes) -> bool:
         return False
     A = expand_a(rho, params)
     rows = np.concatenate((sample_in_ball(c_tilde, params.tau)[None],
-                           t1.astype(np.int64) << params.d, z))
+                           t1.astype(np.int64) << D, z))
     c_hat, t1_hat, z_hat = np.split(ntt_values(rows), (1, 1 + params.k))
     w_approx = intt_values(matvec_hat(A.coeffs, z_hat) - ntt_product(c_hat, t1_hat))
     w1 = use_hint(h, w_approx, params.alpha)
     return c_tilde == shake256(mu + codec.pack_w1(w1, params), 32)
 
-
-class Dilithium:
-    """Convenience wrapper binding a security level and default backend."""
-
-    def __init__(self, level: int, backend=None):
-        self.params = param_set(level)
-        self.backend = _coerce_backend(backend) if backend is not None else default_backend(level)
-
-    def keygen(self, seed: bytes | None = None) -> tuple[bytes, bytes]:
-        return keygen(self.params, seed if seed is not None else os.urandom(32))
-
-    def sign(self, sk: bytes, message: bytes, backend=None, **kw) -> bytes:
-        return sign(self.params, sk, message,
-                    backend=backend if backend is not None else self.backend, **kw)
-
-    def verify(self, pk: bytes, message: bytes, sig: bytes) -> bool:
-        return verify(self.params, pk, message, sig)

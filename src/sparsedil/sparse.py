@@ -8,21 +8,23 @@ extended layout (-s_0..-s_255, s_0..s_255) so that for every challenge
 index k the contribution to all 256 output coefficients is the contiguous
 window ext[256-k .. 511-k], negacyclic signs included.
 
-The production kernel gathers all tau windows of a row in one
-fancy-index read of a strided window view, (tau, 256) lanes, and sums the
-+1 windows and the -1 windows in the lanes' own dtype, wrapping. Its
-shapes depend only on (poscnt, tau), both public. `extend_secret` gives
-the paper's int8 lanes; wrapping addition is associative, so their bytes
-equal those of the paper's packed-lane (SWAR) accumulation on 32-bit
-words of four signed bytes; `packed_add_lanes`/`packed_sub_lanes`
-reproduce that arithmetic and are the kernel's test oracle. Where
-tau*eta <= 127 (levels 2 and 5) int8 is exact; at level 3 (196) a byte
-lane can wrap, so the signing layout (`codec.signing_layout`) widens
-level-3 rows to int16, on which every partial sum is exact. The same
-kernel computes c*t0 on int32 rows: |t0| <= 2^12, so every sum is at most
-tau*2^12 <= 245,760. The fused kernels gather c*s1 (or c*s2) for the whole
-vector at once and run the z (or r0) check on it; the signer runs one of
-them first, so an attempt that fails that check never computes the other
+The production kernel, `sparse_mul_branchless_vec` (also bound as
+`sparse_mul_branchless`), takes one extended row or any stack of rows.
+It gathers all tau windows of every row in one fancy-index read of a
+strided window view, (tau, 256) lanes per row, and sums the +1 windows
+and the -1 windows in the lanes' own dtype, wrapping. Its shapes depend
+only on (poscnt, tau), both public. `extend_secret` gives the paper's
+int8 lanes; wrapping addition is associative, so their bytes equal those
+of the paper's packed-lane (SWAR) accumulation on 32-bit words of four
+signed bytes; `packed_add_lanes`/`packed_sub_lanes` reproduce that
+arithmetic and are the kernel's test oracle. Where tau*eta <= 127
+(levels 2 and 5) int8 is exact; at level 3 (196) a byte lane can wrap,
+so the signing layout (`codec.signing_layout`) widens level-3 rows to
+int16, on which every partial sum is exact. The same kernel computes
+c*t0 on int32 rows: |t0| <= 2^12, so every sum is at most tau*2^12 <=
+245,760. The fused kernels gather c*s1 (or c*s2) for the whole vector at
+once and run the z (or r0) check on it; the signer runs one of them
+first, so an attempt that fails that check never computes the other
 product.
 """
 
@@ -143,25 +145,21 @@ def _gather_product(index, ext_rows: np.ndarray) -> np.ndarray:
 
 
 def sparse_mul_branchless_vec(index, ext_rows: np.ndarray, tau: int) -> np.ndarray:
-    """Branchless c*s for a whole vector of extended secrets at once.
+    """Branchless c*s for one extended secret or a whole stack of them.
 
-    `ext_rows` has shape (m, 512), int8, int16 or int32 lanes, and the
-    result has their dtype; one shared challenge index list drives all
-    rows. The gather and both sums have shapes fixed by (poscnt, tau);
-    secrets are touched only through public window offsets.
+    `ext_rows` is one row of shape (512,) or a stack (..., 512) of int8,
+    int16 or int32 lanes; the result, (256,) or (..., 256), has their
+    dtype, and one shared challenge index list drives all rows. The gather
+    and both sums have shapes fixed by (poscnt, tau); secrets are touched
+    only through public window offsets.
     """
     if np.shape(index) != (tau + 1,):
         raise ValueError(f"index list must have {tau + 1} entries")
-    if np.ndim(ext_rows) != 2:
-        raise ValueError("extended secrets must be rows of 512 int8, int16 or int32 lanes")
     return _gather_product(index, ext_rows)
 
 
-def sparse_mul_branchless(index, ext, tau: int) -> np.ndarray:
-    """c*s for one extended secret, driven only by the index list."""
-    if getattr(ext, "ndim", 1) != 1:
-        raise ValueError("expected a single 512-byte extended secret")
-    return sparse_mul_branchless_vec(index, ext[None, :], tau)[0]
+# The same kernel under its one-row name, which criterion 1 and the selftest use.
+sparse_mul_branchless = sparse_mul_branchless_vec
 
 
 class FusedZ(NamedTuple):

@@ -255,14 +255,22 @@ def test_analyze_hand_convolution_case(capsys):
 @pytest.mark.parametrize("argv", [["selftest", "--level", "2", "--trials", "-1"],
                                   ["selftest", "--trials", "0"],
                                   ["bench", "--level", "2", "--iterations", "0"],
-                                  ["bench", "--level", "2", "--iterations", "many"]])
+                                  ["bench", "--level", "2", "--iterations", "many"],
+                                  ["analyze", "--trials", "-5"],
+                                  ["analyze", "--trials", "0"],
+                                  ["analyze", "--bound", "0"],
+                                  ["analyze", "--eta", "0"],
+                                  ["analyze", "--tau", "-1"]])
 def test_vacuous_counts_are_usage_errors(argv, capsys):
-    # --trials -1 used to pass selftest without multiplying anything, and
-    # --iterations 0 ended in a statistics error
+    # --trials -1 used to pass selftest without multiplying anything,
+    # --iterations 0 ended in a statistics error, and analyze printed its
+    # whole report before it rejected --trials -5 or --bound 0
     with pytest.raises(SystemExit) as exc:
         run(argv)
     assert exc.value.code == 2
-    assert "expected an integer >= 1" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "expected an integer >= 1" in err
 
 
 def test_selftest_names_codec_pair_sharing_a_bug(monkeypatch, capsys):

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from sparsedil.params import LEVELS, N, Q, ROOT_OF_UNITY, param_set
+from sparsedil.params import D, LEVELS, N, Q, ROOT_OF_UNITY, ParameterSet, param_set
 
 
 def test_table_values():
@@ -12,11 +12,18 @@ def test_table_values():
 
 
 def test_shared_ring_constants():
+    assert (Q, N, D) == (8380417, 256, 13)
     for lv in LEVELS:
         p = param_set(lv)
-        assert p.q == 8380417
-        assert p.n == 256
         assert p.beta == p.tau * p.eta
+
+
+def test_every_field_varies_across_levels():
+    # a value shared by every level is a module constant (Q, N, D), not a
+    # field that one parameter set could set differently from the others
+    for f in dataclasses.fields(ParameterSet):
+        if f.name != "level":
+            assert len({getattr(param_set(lv), f.name) for lv in LEVELS}) >= 2, f.name
 
 
 def test_modulus_structure():

@@ -137,7 +137,7 @@ def test_center_range():
     assert np.all((c - v) % Q == 0)
 
 
-def test_polyvec_shares_domain():
+def test_poly_stack_shares_domain():
     rng = np.random.default_rng(10)
     vec = Poly(rng.integers(0, Q, (3, N)))
     hat = ring.ntt(vec)
@@ -377,7 +377,7 @@ def _matvec_by_int64(a_hat, y):
 
 @pytest.mark.parametrize("k, l, gamma1", [(4, 4, 1 << 17), (6, 5, 1 << 19), (8, 7, 1 << 19)],
                          ids=["level2", "level3", "level5"])
-def test_ntt_matvec_matches_int64_path_at_worst_case(k, l, gamma1):
+def test_w_chain_matches_int64_path_at_worst_case(k, l, gamma1):
     rng = np.random.default_rng(k * 10 + l)
     half = (Q - 1) // 2
     sign = rng.choice([-1, 1], (k, l, N))
@@ -416,7 +416,7 @@ def test_ntt_matvec_matches_int64_path_at_worst_case(k, l, gamma1):
         assert cn.modmul == a.size * (v.size // a[0].size)      # k*l*256 per vector
 
 
-def test_ntt_matvec_random_blocks():
+def test_w_chain_random_blocks():
     rng = np.random.default_rng(21)
     for b in (1, 2, 3):
         a_hat = rng.integers(0, Q, (3, 2, N))

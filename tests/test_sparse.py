@@ -197,6 +197,10 @@ def test_branchless_matches_indexed():
             else:
                 # a wrapped lane is off by 256 either way
                 assert np.all(np.isin(ring.center(want - got), (-256, 0, 256)))
+        # the same kernel takes a (rows, 512) stack, row for row the one-row results
+        exts = np.stack([sparse.extend_secret(s, p.eta) for _, s in cases])
+        rows = np.stack([sparse.sparse_mul_branchless(idx, e, p.tau) for e in exts])
+        assert np.array_equal(sparse.sparse_mul_branchless(idx, exts, p.tau), rows)
 
 
 def test_branchless_every_window_offset():
