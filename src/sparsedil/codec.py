@@ -13,9 +13,12 @@ purpose: s1, s2 and t0 come back already widened to the 512-entry (-v, v)
 layout of the branchless multiplier, so a signing loop never re-derives
 them across restarts. `signing_layout` picks each lane type from tau times
 the coefficient bound, so every signing product is exact: int8 for the
-secrets at levels 2 and 5, int16 at level 3, int32 for t0.
+secrets at levels 2 and 5, int16 at level 3, int32 for t0. Both key decoders
+are memoized per key like `expand_a`, with read-only results: up to 16
+decoded secret keys stay resident until evicted or `cache_clear()`.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -161,6 +164,13 @@ def sig_size(params: ParameterSet) -> int:
     return 32 + params.l * z_packed_bytes(params) + params.omega + params.k
 
 
+def _memoized_decoder(decode):
+    cached = functools.lru_cache(maxsize=16)(decode)   # on bytes(key): any bytes-like key hits
+    wrapper = functools.wraps(decode)(lambda key, params: cached(bytes(key), params))
+    wrapper.cache_info, wrapper.cache_clear = cached.cache_info, cached.cache_clear
+    return wrapper
+
+
 # ---------------------------------------------------------------------------
 # public key
 
@@ -168,10 +178,13 @@ def pk_encode(rho: bytes, t1, params: ParameterSet) -> bytes:
     return rho + pack_t1(t1)
 
 
+@_memoized_decoder
 def pk_decode(pk: bytes, params: ParameterSet) -> tuple[bytes, np.ndarray]:
     if len(pk) != pk_size(params):
         raise DecodeError(f"public key must be {pk_size(params)} bytes, got {len(pk)}")
-    return pk[:32], unpack_t1(pk[32:], params.k)
+    t1 = unpack_t1(pk[32:], params.k)
+    t1.setflags(write=False)
+    return pk[:32], t1
 
 
 # ---------------------------------------------------------------------------
@@ -210,11 +223,12 @@ def signing_layout(s, bound: int, params: ParameterSet) -> np.ndarray:
     return np.concatenate((-s, s), axis=-1)
 
 
+@_memoized_decoder
 def sk_decode_extended(sk: bytes, params: ParameterSet) -> DecodedSecret:
     """Decode a secret key straight into the extended signing layout.
 
-    Called once per signature; restarts reuse the result untouched, which
-    the read-only flags enforce.
+    Called once per signature and cached per key; restarts and later
+    signatures reuse the result untouched, which the read-only flags enforce.
     """
     if len(sk) != sk_size(params):
         raise DecodeError(f"secret key must be {sk_size(params)} bytes, got {len(sk)}")

@@ -33,18 +33,6 @@ def decompose(r, alpha: int):
     return np.where(top, 0, r1), r0 - top
 
 
-def lowbits_exceeds(r, alpha: int, bound: int):
-    """Elementwise |LowBits(r, alpha)| >= bound, for r in [0, q) and bound <= alpha/2.
-
-    Two passes instead of decompose's centering: r0 lies in
-    [-(bound-1), bound-1] exactly when (r + bound - 1) mod alpha <= 2*bound - 2.
-    The q-1 fold moves one in-range value out: r = q - bound has centered
-    remainder -(bound-1), folded down to -bound.
-    """
-    r = np.asarray(r, dtype=np.int64)
-    return (((r + (bound - 1)) % alpha) > 2 * bound - 2) | (r == Q - bound)
-
-
 def highbits(r, alpha: int):
     return decompose(r, alpha)[0]
 
@@ -83,4 +71,8 @@ def norm_inf_exceeds(v, bound: int) -> bool:
     Accepts reduced [0, q) or centered values. The comparison is non-strict
     to match the rejection rule "reject when the norm reaches the bound".
     """
+    v = np.asarray(v)
+    lo, hi = int(v.min(initial=0)), int(v.max(initial=0))  # 0, 0 when empty
+    if -(Q - 1) // 2 <= lo and hi <= (Q - 1) // 2:  # centered already
+        return max(-lo, hi) >= bound
     return bool(np.any(np.abs(center(v)) >= bound))

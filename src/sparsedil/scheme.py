@@ -17,6 +17,7 @@ computes the other, as in the round-3 reference signer:
 
 The products are exact at every level, so all three backends produce
 byte-identical signatures, and sparse_fused is the default everywhere.
+The r0 check is |LowBits(w) - c*s2| < gamma2 - beta, exact as |c*s2| <= beta.
 
 Attempts run in speculative blocks of SIGN_BLOCK. Attempts are independent
 until their checks run, so a block draws all its masks, computes every

@@ -31,11 +31,10 @@ product.
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .params import N, Q
 from .ring import Domain, Poly
-from .rounding import lowbits_exceeds
+from .rounding import decompose
 
 _LANE_LOW = 0x7F7F7F7F
 _LANE_TOP = 0x80808080
@@ -120,12 +119,12 @@ def _window_view(ext_rows: np.ndarray) -> np.ndarray:
     index k; nothing is copied. Rows are int8 (the paper's byte lanes),
     int16 (exact for every tau*eta of Dilithium) or int32 (exact for t0).
     """
-    ext_rows = np.asarray(ext_rows)
+    ext_rows = np.ascontiguousarray(ext_rows)
     if ext_rows.dtype not in (np.int8, np.int16, np.int32) or ext_rows.shape[-1:] != (2 * N,):
         raise ValueError("extended secrets must be rows of 512 int8, int16 or int32 lanes")
     step = ext_rows.strides[-1]
-    return as_strided(ext_rows, ext_rows.shape[:-1] + (N + 1, N),
-                      ext_rows.strides[:-1] + (step, step), writeable=False)
+    return np.ndarray(ext_rows.shape[:-1] + (N + 1, N), ext_rows.dtype,
+                      ext_rows.data.toreadonly(), 0, ext_rows.strides[:-1] + (step, step))
 
 
 def _gather_product(index, ext_rows: np.ndarray) -> np.ndarray:
@@ -185,9 +184,13 @@ def z_check(y, prod: np.ndarray, bound: int) -> FusedZ:
 
 
 def r0_check(w, prod: np.ndarray, gamma2: int, bound: int) -> FusedR0:
-    """Accepts c*s2 when |LowBits(w - c*s2, 2*gamma2)| < bound everywhere."""
+    """Accepts c*s2 when |LowBits(w, 2*gamma2) - c*s2| < bound everywhere.
+
+    The r0 check of round 3 and FIPS 204: it decides as |LowBits(w - c*s2)|
+    does while |c*s2| <= gamma2 - bound, as |c*s2| <= beta ensures.
+    """
     w = np.asarray(w, dtype=np.int64)
-    ok = not lowbits_exceeds((w - prod) % Q, 2 * gamma2, bound).any()
+    ok = bool(np.abs(decompose(w, 2 * gamma2)[1] - prod).max() < bound)
     return FusedR0(ok, prod.astype(np.int64, copy=False), w.shape[0] * _BLOCKS_PER_POLY)
 
 
@@ -201,7 +204,7 @@ def fused_z(index, ext_s1: np.ndarray, y: np.ndarray, bound: int) -> FusedZ:
 
 
 def fused_r0(index, ext_s2: np.ndarray, w: np.ndarray, gamma2: int, bound: int) -> FusedR0:
-    """Low-bits check of w - c*s2 fused onto the product c*s2.
+    """The r0 check, |LowBits(w) - c*s2| < bound, fused onto the product c*s2.
 
     One gather over all rows, then one check on the whole vector; c*s2 is
     returned for the later hint computation.

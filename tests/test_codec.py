@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sparsedil import codec, sparse
+from sparsedil import codec, scheme, sparse
 from sparsedil.keccak import shake256
 from sparsedil.params import LEVELS, N, Q, param_set
 from sparsedil.ring import intt_values, ntt_values
@@ -155,6 +155,45 @@ def test_sk_decode_returns_readonly_arrays(keypairs):
         for arr in (dec.s1_ext, dec.s2_ext, dec.t0_ext):
             with pytest.raises(ValueError):
                 arr[0, 0] = 1
+
+
+def test_key_decoders_return_one_cached_readonly_object(keypairs):
+    for lv in LEVELS:
+        p = param_set(lv)
+        pk, sk = keypairs[lv]
+        dec = codec.sk_decode_extended(sk, p)
+        rho, t1 = codec.pk_decode(pk, p)
+        # any bytes-like key finds the same entry
+        for key in (sk, bytearray(sk), memoryview(sk)):
+            assert codec.sk_decode_extended(key, p) is dec
+        for key in (pk, bytearray(pk), memoryview(pk)):
+            assert codec.pk_decode(key, p)[1] is t1
+        assert type(dec.rho) is type(rho) is bytes
+        with pytest.raises(ValueError):
+            t1[0, 0] = 1
+
+
+def test_malformed_keys_raise_on_every_call(keypairs):
+    p = param_set(2)
+    bad = bytearray(keypairs[2][1])
+    bad[96] = 0xFF                         # an s1 field below -eta
+    for _ in range(3):                     # exceptions are not cached
+        with pytest.raises(codec.DecodeError, match="secret"):
+            codec.sk_decode_extended(bad, p)
+        with pytest.raises(codec.DecodeError, match="public key"):
+            codec.pk_decode(bytes(10), p)
+
+
+def test_decode_caches_hold_at_most_16_keys():
+    p = param_set(2)
+    for i in range(20):
+        pk, sk = scheme.keygen(p, bytes([i, 99]) * 16)
+        codec.sk_decode_extended(sk, p)
+        codec.pk_decode(pk, p)
+    assert codec.sk_decode_extended.cache_info().currsize <= 16
+    assert codec.pk_decode.cache_info().currsize <= 16
+    codec.sk_decode_extended.cache_clear()
+    assert codec.sk_decode_extended.cache_info().currsize == 0
 
 
 def test_sk_decode_length_error():

@@ -1,9 +1,11 @@
 import numpy as np
 
 from sparsedil.params import D, LEVELS, Q, param_set
+from sparsedil.ring import center
 from sparsedil.rounding import (decompose, highbits, hint_weight, lowbits,
-                                lowbits_exceeds, make_hint, norm_inf_exceeds,
-                                power2round, use_hint)
+                                make_hint, norm_inf_exceeds, power2round,
+                                use_hint)
+from sparsedil.sparse import r0_check
 
 ALPHAS = sorted({param_set(lv).alpha for lv in LEVELS})
 
@@ -106,18 +108,35 @@ def test_decompose_matches_bit_trick_oracle_exhaustively():
             assert np.array_equal(w1, m1) and np.array_equal(w0, m0), (alpha, start)
 
 
-def test_lowbits_exceeds_matches_decompose_exhaustively():
-    chunk = 1 << 21
+def test_r0_check_matches_lowbits_of_difference_exhaustively():
+    """|LowBits(w) - d| decides as |LowBits(w - d)| for every w and every |d| <= beta."""
+    rng = np.random.default_rng(6)
+    r = np.arange(Q, dtype=np.int64)
     for lv in LEVELS:
         p = param_set(lv)
         bound = p.gamma2 - p.beta           # the signer's r0 bound
-        for start in range(0, Q, chunk):
-            r = np.arange(start, min(start + chunk, Q), dtype=np.int64)
-            want = np.abs(decompose(r, p.alpha)[1]) >= bound
-            assert np.array_equal(lowbits_exceeds(r, p.alpha, bound), want), (lv, start)
+        exceeds = np.concatenate([np.abs(decompose(part, p.alpha)[1]) >= bound
+                                  for part in np.array_split(r, 4)])
+
+        def rejects(w, d):
+            return not r0_check(w, np.broadcast_to(d, w.shape), p.gamma2, bound).ok
+
+        for d in (-p.beta, -p.beta + 1, -1, 0, 1, p.beta - 1, p.beta):
+            want = np.roll(exceeds, d)      # want[r] = exceeds[(r - d) mod q]
+            for start in range(0, Q, 1 << 21):
+                w, out = r[start:start + (1 << 21)], want[start:start + (1 << 21)]
+                # one call accepts every in-bound w; each out-of-bound w rejects alone
+                assert not rejects(w[~out], np.int16(d)), (lv, d, start)
+                assert all(rejects(x, np.int16(d)) for x in w[out, None]), (lv, d, start)
+        # a seeded sample of every other offset, one per w
+        w = rng.integers(0, Q, 1 << 18)
+        d = rng.integers(-p.beta, p.beta + 1, w.size)
+        want = exceeds[(w - d) % Q]
+        assert not rejects(w[~want], d[~want]), lv
+        assert all(rejects(w[i:i + 1], d[i:i + 1]) for i in np.flatnonzero(want)), lv
     # the q-1 fold pushes exactly r = q - bound over the bound
-    assert lowbits_exceeds(Q - bound, p.alpha, bound)
-    assert not lowbits_exceeds(Q - bound + 1, p.alpha, bound)
+    assert rejects(np.array([Q - bound]), 0)
+    assert not rejects(np.array([Q - bound + 1]), 0)
 
 
 def test_lowbits_matches_decompose():
@@ -143,12 +162,33 @@ def test_norm_inf_exceeds():
 
 def test_norm_matches_direct_max():
     rng = np.random.default_rng(5)
-    from sparsedil.ring import center
     for _ in range(200):
         v = rng.integers(0, Q, 512)
         bound = int(rng.integers(1, Q // 2))
         direct = int(np.max(np.abs(center(v))))
         assert norm_inf_exceeds(v, bound) == (direct >= bound)
+
+
+def test_norm_inf_exceeds_matches_centered_magnitude():
+    half = (Q - 1) // 2
+    rng = np.random.default_rng(7)
+    cases = [np.array(v, dtype=dt) for dt in (np.int8, np.int32, np.int64)
+             for v in ([0, 5, -7], [-128, 127], [-1, 0, 1])]
+    cases += [np.array(v, dtype=dt) for dt in (np.int32, np.int64)
+              for v in ([half, 3], [-half, 3], [half + 1, 3], [Q - 1, 0], [0, Q - half])]
+    cases += [rng.integers(0, Q, 300), rng.integers(-half, half + 1, 300).astype(np.int32),
+              rng.integers(half + 1, Q, 300)]      # reduced, all above (q-1)/2
+    for v in cases:
+        top = int(np.max(np.abs(center(v))))
+        for bound in {1, 7, 128, top - 1, top, top + 1, half, half + 1}:
+            if bound >= 1:
+                assert norm_inf_exceeds(v, bound) == (top >= bound), (v, bound)
+    # +-bound itself is rejected, one inside is not, in every lane type
+    for dt in (np.int8, np.int32, np.int64):
+        for sign in (1, -1):
+            v = np.array([0, sign * 100], dtype=dt)
+            assert norm_inf_exceeds(v, 100) and not norm_inf_exceeds(v, 101)
+    assert not norm_inf_exceeds(np.zeros(0, dtype=np.int64), 1)
 
 
 def test_hint_weight():

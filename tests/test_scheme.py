@@ -186,6 +186,18 @@ def test_verify_str_message_is_caller_error(keypairs):
         scheme.verify(p, pk, "text", sig[:-1])
 
 
+def test_byte_like_keys_sign_and_verify(keypairs, params):
+    pk, sk = keypairs[params.level]
+    msg = b"byte-like keys"
+    sigs = {scheme.sign(params, key, msg) for key in (sk, bytearray(sk), memoryview(sk))}
+    assert len(sigs) == 1
+    sig = sigs.pop()
+    for key in (pk, bytearray(pk), memoryview(pk)):
+        assert scheme.verify(params, key, msg, sig) is True
+    for _ in range(2):                     # a malformed key is rejected on every call
+        assert scheme.verify(params, bytearray(pk[:-1]), msg, sig) is False
+
+
 def _sign_with_restarts(params, sk, backend, min_restarts=1, tries=200):
     """Find a message whose signing restarts at least once; return its trace."""
     for i in range(tries):

@@ -217,6 +217,16 @@ def test_branchless_every_window_offset():
         assert np.array_equal(got, want), f"offset {pos}"
 
 
+def test_window_view_of_non_contiguous_stack():
+    rng = np.random.default_rng(9)
+    ext = sparse.extend_secret(random_secret(rng, 2, (6, N)), 2)
+    view = sparse._window_view(ext[::2])
+    assert np.array_equal(view, sparse._window_view(np.ascontiguousarray(ext[::2])))
+    assert np.array_equal(view[:, N - 5], ext[::2, N - 5:2 * N - 5])    # window of index 5
+    assert not view.flags.writeable
+    assert not sparse._window_view(ext).flags.writeable
+
+
 def test_level3_wrap_is_byte_exact():
     # constructed worst case: 49 aligned +1 windows over an all-4 secret
     p = param_set(3)
