@@ -3,8 +3,9 @@
 Each coefficient of c*s is a sum of tau independent uniforms on [-eta, eta]
 (a discrete Irwin-Hall distribution). Counts are kept as exact Python
 integers out of (2*eta+1)^tau equally likely outcomes, so tail masses are
-exact rationals; conversion to float is a single correctly-rounded step at
-the end.
+exact rationals; `float()` of one is a single correctly-rounded step.
+`monte_carlo_overflow` counts the same tail on seeded samples, as a
+cross-check of the exact figure.
 """
 
 import math
@@ -24,12 +25,6 @@ class CoeffDistribution:
     @property
     def total(self) -> int:
         return sum(self.counts)
-
-    def probability(self, value: int) -> Fraction:
-        i = value - self.offset
-        if i < 0 or i >= len(self.counts):
-            return Fraction(0)
-        return Fraction(self.counts[i], self.total)
 
 
 def exact_sum_distribution(eta: int, tau: int) -> CoeffDistribution:
@@ -56,11 +51,6 @@ def tail_fraction(dist: CoeffDistribution, bound: int) -> Fraction:
     return Fraction(mass, total)
 
 
-def tail_probability(dist: CoeffDistribution, bound: int) -> float:
-    """P(|u| > bound) as the correctly-rounded nearest binary64 value."""
-    return float(tail_fraction(dist, bound))
-
-
 def signature_failure_probability(p: float, count: int = 256) -> float:
     """1 - (1-p)^count, evaluated stably for tiny p via log1p/expm1."""
     if not 0.0 <= p <= 1.0:
@@ -70,32 +60,19 @@ def signature_failure_probability(p: float, count: int = 256) -> float:
     return -math.expm1(count * math.log1p(-p))
 
 
-def _sampled_sums(eta: int, tau: int, trials: int, seed: int):
-    """Yield `trials` sampled tau-sums in chunks of at most 2^15; deterministic in seed."""
-    rng = np.random.default_rng(seed)
-    remaining = trials
-    while remaining:
-        m = min(remaining, 1 << 15)
-        yield rng.integers(-eta, eta + 1, size=(m, tau)).sum(axis=1)
-        remaining -= m
-
-
 def monte_carlo_overflow(eta: int, tau: int, bound: int, trials: int, seed: int) -> int:
-    """Number of sampled tau-sums with |sum| > bound; deterministic in seed."""
+    """Number of sampled tau-sums with |sum| > bound; deterministic in seed.
+
+    The draws run in chunks of at most 2^15 sums, so memory stays bounded.
+    """
     if trials < 1:
         raise ValueError("trials must be positive")
-    return sum(int(np.count_nonzero(np.abs(sums) > bound))
-               for sums in _sampled_sums(eta, tau, trials, seed))
-
-
-def monte_carlo_histogram(eta: int, tau: int, trials: int, seed: int) -> dict[int, int]:
-    """Sampled counts per sum value; companion oracle for the exact counts."""
-    hist: dict[int, int] = {}
-    for sums in _sampled_sums(eta, tau, trials, seed):
-        vals, cnts = np.unique(sums, return_counts=True)
-        for v, c in zip(vals.tolist(), cnts.tolist()):
-            hist[v] = hist.get(v, 0) + c
-    return hist
+    rng = np.random.default_rng(seed)
+    seen = 0
+    for start in range(0, trials, 1 << 15):
+        sums = rng.integers(-eta, eta + 1, size=(min(trials - start, 1 << 15), tau)).sum(axis=1)
+        seen += int(np.count_nonzero(np.abs(sums) > bound))
+    return seen
 
 
 @dataclass(frozen=True)

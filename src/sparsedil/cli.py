@@ -4,8 +4,9 @@ and the byte-overflow probability analysis.
 Exit codes: 0 success / signature accepted, 1 signature rejected,
 2 usage or I/O error, 3 self-test failure.
 
-The default signing backend is sparse_fused at every level; `sign
---backend` picks another.
+`sign` signs on the default backend, sparse_fused; every backend signs the
+same bytes. Status lines go to stderr, so a key or signature written to `-`
+(stdout) is only its bytes.
 """
 
 import argparse
@@ -82,9 +83,9 @@ def cmd_keygen(args) -> int:
     _write_file(args.pk, pk, args.hex)
     _write_file(args.sk, sk, args.hex)
     print(f"level {args.level}: wrote {len(pk)}-byte public key to {args.pk}, "
-          f"{len(sk)}-byte secret key to {args.sk}")
+          f"{len(sk)}-byte secret key to {args.sk}", file=sys.stderr)
     if args.seed is None:
-        print(f"seed: {seed.hex()}")
+        print(f"seed: {seed.hex()}", file=sys.stderr)
     return 0
 
 
@@ -94,12 +95,10 @@ def cmd_sign(args) -> int:
     params = param_set(level)
     message = _read_file(args.msg, hex_mode=False)
     _require_parent_dirs(args.out)
-    backend = scheme._coerce_backend(args.backend or scheme.default_backend(level))
-    sig = scheme.sign(params, sk, message, backend=backend,
-                      randomized=args.randomized)
+    sig = scheme.sign(params, sk, message, randomized=args.randomized)
     _write_file(args.out, sig, args.hex)
-    print(f"level {level} / {backend.value}: wrote {len(sig)}-byte signature to {args.out}",
-          file=sys.stderr)
+    print(f"level {level} / {scheme.default_backend(level).value}: "
+          f"wrote {len(sig)}-byte signature to {args.out}", file=sys.stderr)
     return 0
 
 
@@ -366,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     sg.add_argument("--sk", required=True)
     sg.add_argument("--in", dest="msg", required=True, help="message path or '-'")
     sg.add_argument("--out", required=True, help="signature output path or '-'")
-    sg.add_argument("--backend", choices=_BACKEND_CHOICES)
     sg.add_argument("--randomized", action="store_true",
                     help="hedge the per-signature randomness (non-deterministic)")
     sg.add_argument("--hex", action="store_true", help="keys/signature files in hex")

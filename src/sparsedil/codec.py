@@ -182,7 +182,7 @@ def pk_encode(rho: bytes, t1, params: ParameterSet) -> bytes:
 def pk_decode(pk: bytes, params: ParameterSet) -> tuple[bytes, np.ndarray]:
     if len(pk) != pk_size(params):
         raise DecodeError(f"public key must be {pk_size(params)} bytes, got {len(pk)}")
-    t1 = unpack_t1(pk[32:], params.k)
+    t1 = unpack_t1(pk[32:], params.k).astype(np.uint16)   # 10-bit fields
     t1.setflags(write=False)
     return pk[:32], t1
 

@@ -37,10 +37,6 @@ def highbits(r, alpha: int):
     return decompose(r, alpha)[0]
 
 
-def lowbits(r, alpha: int):
-    return decompose(r, alpha)[1]
-
-
 def make_hint(z, r, alpha: int):
     """Hint bits recording whether adding z changes the high part of r.
 

@@ -93,11 +93,10 @@ class SignTrace:
     decode_calls: int = 0
     restarts: int = 0
     iterations: list = field(default_factory=list)   # executed check names per attempt
-    cs1_modmuls: int = 0
-    cs2_modmuls: int = 0
-    accepted_z_max: int = 0
-    accepted_r0_max: int = 0
-    accepted_cs1: np.ndarray | None = None
+    cs1_modmuls: int = 0     # modular multiplications inside c*s1 (0 on byte lanes)
+    cs2_modmuls: int = 0     # the same for c*s2
+    accepted_z_max: int = 0  # |z|_inf of the signed attempt
+    accepted_r0_max: int = 0  # |LowBits(w - c*s2)|_inf of the signed attempt
 
 
 def keygen(params: ParameterSet, zeta: bytes) -> tuple[bytes, bytes]:
@@ -174,7 +173,6 @@ def sign(params: ParameterSet, sk: bytes, message: bytes,
                         trace.accepted_z_max = int(np.max(np.abs(z)))
                         r0 = decompose((w - cs2) % Q, alpha)[1]
                         trace.accepted_r0_max = int(np.max(np.abs(r0)))
-                        trace.accepted_cs1 = z - y
                     return codec.sig_encode(c_tilde, z, h, params)
 
         if trace is not None:

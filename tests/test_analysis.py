@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sparsedil import analysis
@@ -20,8 +21,7 @@ def test_two_draw_convolution_by_hand():
     d = analysis.exact_sum_distribution(1, 2)
     assert d.offset == -2
     assert d.counts == (1, 2, 3, 2, 1)
-    assert d.probability(0) == Fraction(3, 9)
-    assert d.probability(5) == 0
+    assert Fraction(d.counts[0 - d.offset], d.total) == Fraction(3, 9)
 
 
 def test_mass_conservation_and_symmetry():
@@ -34,9 +34,9 @@ def test_mass_conservation_and_symmetry():
 
 def test_tail_trivials():
     d = analysis.exact_sum_distribution(2, 10)
-    assert analysis.tail_probability(d, 20) == 0.0        # support bound
-    assert analysis.tail_probability(d, 25) == 0.0
-    complement = 1 - d.probability(0)
+    assert analysis.tail_fraction(d, 20) == 0        # support bound
+    assert analysis.tail_fraction(d, 25) == 0
+    complement = 1 - Fraction(d.counts[0 - d.offset], d.total)
     assert analysis.tail_fraction(d, 0) == complement
 
 
@@ -82,7 +82,7 @@ def test_wrap_magnitude_semantics():
     # |u| >= 128 is the byte-wrap event; strict tail at 128 is smaller
     d = analysis.exact_sum_distribution(4, 49)
     assert analysis.tail_fraction(d, 127) == analysis.overflow_report(4, 49, 128).per_coeff_fraction
-    assert analysis.tail_probability(d, 128) < analysis.tail_probability(d, 127)
+    assert float(analysis.tail_fraction(d, 128)) < float(analysis.tail_fraction(d, 127))
 
 
 def test_monte_carlo_small_case_matches_exact():
@@ -109,10 +109,11 @@ def test_monte_carlo_no_exceedances_at_wrap_bound():
 def test_histogram_agrees_with_exact_within_5_sigma():
     eta, tau, trials = 2, 5, 200000
     d = analysis.exact_sum_distribution(eta, tau)
-    hist = analysis.monte_carlo_histogram(eta, tau, trials, seed=11)
+    sums = np.random.default_rng(11).integers(-eta, eta + 1, size=(trials, tau)).sum(axis=1)
+    hist = dict(zip(*(a.tolist() for a in np.unique(sums, return_counts=True))))
     checked = 0
     for value in range(d.offset, -d.offset + 1):
-        p = float(d.probability(value))
+        p = float(Fraction(d.counts[value - d.offset], d.total))
         expected = trials * p
         if expected < 10:
             continue

@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sparsedil import bench, cli, codec, ring, rounding, sparse
-from sparsedil.params import N, Q
+from sparsedil import bench, cli, codec, ring, rounding, scheme, sparse
+from sparsedil.params import N, Q, param_set
+from sparsedil.scheme import Backend
 
 SEED_HEX = "00" * 32
 
@@ -26,8 +27,29 @@ def test_keygen_reproducible(tmp_path, capsys):
     assert (tmp_path / "a/pk").read_bytes() == (tmp_path / "b/pk").read_bytes()
     assert (tmp_path / "a/sk").read_bytes() == (tmp_path / "b/sk").read_bytes()
     assert len((tmp_path / "a/pk").read_bytes()) == 1312
-    out = capsys.readouterr().out
-    assert "1312" in out
+    err = capsys.readouterr().err
+    assert "1312" in err
+
+
+@pytest.mark.parametrize("flags", [[], ["--hex"]], ids=["raw", "hex"])
+def test_keygen_public_key_on_stdout_is_only_the_key(tmp_path, capsysbinary, flags):
+    # status and seed lines go to stderr, so `--pk - > pk.bin` is a usable key
+    rc = run(["keygen", "--level", "2", "--pk", "-", "--sk", str(tmp_path / "sk"), *flags])
+    assert rc == 0
+    captured = capsysbinary.readouterr()
+    size = codec.pk_size(param_set(2))
+    if flags:
+        assert captured.out.count(b"\n") == 1 and captured.out.endswith(b"\n")
+        assert len(bytes.fromhex(captured.out.decode())) == size
+    else:
+        assert len(captured.out) == size
+    assert b"seed: " in captured.err and b"1312-byte public key" in captured.err
+    (tmp_path / "pk").write_bytes(captured.out)
+    (tmp_path / "msg").write_bytes(b"piped key")
+    assert run(["sign", "--sk", str(tmp_path / "sk"), *flags, "--in", str(tmp_path / "msg"),
+                "--out", str(tmp_path / "sig")]) == 0
+    assert run(["verify", "--pk", str(tmp_path / "pk"), *flags, "--in", str(tmp_path / "msg"),
+                "--sig", str(tmp_path / "sig")]) == 0
 
 
 def test_keygen_fresh_seed_differs(tmp_path):
@@ -53,16 +75,13 @@ def test_keygen_bad_seed(tmp_path, capsys):
     assert rc == 2
 
 
-def _keygen_sign(tmp_path, level="2", backend=None):
+def _keygen_sign(tmp_path, level="2"):
     rc = run(["keygen", "--level", level, "--seed", SEED_HEX,
               "--pk", str(tmp_path / "pk"), "--sk", str(tmp_path / "sk")])
     assert rc == 0
     (tmp_path / "msg").write_bytes(b"attack at dawn")
-    argv = ["sign", "--sk", str(tmp_path / "sk"), "--in", str(tmp_path / "msg"),
-            "--out", str(tmp_path / "sig")]
-    if backend:
-        argv += ["--backend", backend]
-    assert run(argv) == 0
+    assert run(["sign", "--sk", str(tmp_path / "sk"), "--in", str(tmp_path / "msg"),
+                "--out", str(tmp_path / "sig")]) == 0
 
 
 def test_sign_verify_roundtrip(tmp_path):
@@ -99,14 +118,22 @@ def test_verify_rejects_wrong_message(tmp_path):
 
 
 @pytest.mark.parametrize("level", ["2", "5"])
-def test_backends_produce_identical_signature_files(tmp_path, level):
-    sigs = []
-    for backend in ("ntt", "sparse", "sparse-fused"):
-        d = tmp_path / backend
-        d.mkdir()
-        _keygen_sign(d, level=level, backend=backend)
-        sigs.append((d / "sig").read_bytes())
-    assert sigs[0] == sigs[1] == sigs[2]
+def test_signature_file_equals_every_backends_signature(tmp_path, level):
+    _keygen_sign(tmp_path, level=level)
+    p, sk = param_set(int(level)), (tmp_path / "sk").read_bytes()
+    sig = (tmp_path / "sig").read_bytes()
+    for backend in Backend:
+        assert sig == scheme.sign(p, sk, b"attack at dawn", backend=backend), backend
+
+
+def test_sign_backend_flag_is_usage_error(tmp_path):
+    _keygen_sign(tmp_path)
+    (tmp_path / "sig").unlink()
+    with pytest.raises(SystemExit) as exc:
+        run(["sign", "--sk", str(tmp_path / "sk"), "--in", str(tmp_path / "msg"),
+             "--out", str(tmp_path / "sig"), "--backend", "ntt"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "sig").exists()
 
 
 def test_sign_reads_stdin_message(tmp_path):

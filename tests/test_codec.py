@@ -168,6 +168,7 @@ def test_key_decoders_return_one_cached_readonly_object(keypairs):
             assert codec.sk_decode_extended(key, p) is dec
         for key in (pk, bytearray(pk), memoryview(pk)):
             assert codec.pk_decode(key, p)[1] is t1
+        assert t1.dtype == np.uint16        # 10-bit fields, 2 bytes each
         assert type(dec.rho) is type(rho) is bytes
         with pytest.raises(ValueError):
             t1[0, 0] = 1

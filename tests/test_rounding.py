@@ -2,9 +2,8 @@ import numpy as np
 
 from sparsedil.params import D, LEVELS, Q, param_set
 from sparsedil.ring import center
-from sparsedil.rounding import (decompose, highbits, hint_weight, lowbits,
-                                make_hint, norm_inf_exceeds, power2round,
-                                use_hint)
+from sparsedil.rounding import (decompose, highbits, hint_weight, make_hint,
+                                norm_inf_exceeds, power2round, use_hint)
 from sparsedil.sparse import r0_check
 
 ALPHAS = sorted({param_set(lv).alpha for lv in LEVELS})
@@ -140,11 +139,12 @@ def test_r0_check_matches_lowbits_of_difference_exhaustively():
 
 
 def test_lowbits_matches_decompose():
+    # LowBits is decompose's second part: r - HighBits(r) * alpha, centered mod q
     rng = np.random.default_rng(4)
-    r = rng.integers(0, Q, 1000)
+    r = np.concatenate((rng.integers(0, Q, 1000), np.arange(Q - 2 * max(ALPHAS), Q)))
     for alpha in ALPHAS:
         r1, r0 = decompose(r, alpha)
-        assert np.array_equal(lowbits(r, alpha), r0)
+        assert np.array_equal(center(r - r1 * alpha), r0)
         assert np.array_equal(highbits(r, alpha), r1)
 
 

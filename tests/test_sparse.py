@@ -6,7 +6,7 @@ from conftest import random_challenge, random_secret
 from sparsedil import ring, sparse
 from sparsedil.params import LEVELS, N, Q, param_set
 from sparsedil.ring import Poly
-from sparsedil.rounding import lowbits, norm_inf_exceeds
+from sparsedil.rounding import decompose, norm_inf_exceeds
 
 
 def lift(prod8):
@@ -332,7 +332,7 @@ def test_fused_r0_zero_secret():
     exts = np.zeros((p.k, 2 * N), dtype=np.int8)
     w = rng.integers(0, Q, (p.k, N))
     res = sparse.fused_r0(idx, exts, w, p.gamma2, p.gamma2 - p.beta)
-    direct = not norm_inf_exceeds(lowbits(w, p.alpha), p.gamma2 - p.beta)
+    direct = not norm_inf_exceeds(decompose(w, p.alpha)[1], p.gamma2 - p.beta)
     assert res.ok == direct
     if res.ok:
         assert np.all(res.cs2 == 0)
@@ -375,7 +375,7 @@ def test_fused_paths_match_unfused_reference():
             w = rng.integers(0, Q, (m, N))
             r0bound = p.gamma2 - p.beta
             resr = sparse.fused_r0(idx, exts, w, p.gamma2, r0bound)
-            ref_r0 = lowbits((w - cs) % Q, p.alpha)
+            ref_r0 = decompose((w - cs) % Q, p.alpha)[1]
             ref_ok = not norm_inf_exceeds(ref_r0, r0bound)
             assert resr.ok == ref_ok
             if resr.ok:
