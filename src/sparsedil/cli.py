@@ -240,6 +240,13 @@ def _selftest_sections(levels, trials, rng):
                 want = sum(f << (i * width) for i, f in enumerate(fields.reshape(-1).tolist()))
                 if image != want.to_bytes((v.size * width + 7) // 8, "little"):
                     raise AssertionError(f"{name} byte image differs from its definition")
+                # the unpacker alone, on bytes no packer wrote; an odd count ends mid-byte
+                count = v.size - 1
+                raw = rng.bytes((count * width + 7) // 8)
+                x = int.from_bytes(raw, "little")
+                if codec.unpack_bits(raw, width, count).tolist() != [
+                        (x >> (i * width)) & ((1 << width) - 1) for i in range(count)]:
+                    raise AssertionError(f"unpack_bits differs from a bit reader at width {width}")
                 if not np.array_equal(unpack(image).reshape(v.shape), v):
                     raise AssertionError(f"{name} codec roundtrip failed")
             h = np.zeros((p.k, N), dtype=np.uint8)

@@ -3,10 +3,12 @@
 All codecs are little-endian fixed-width bit fields (round-3 wire layout),
 bijections between their declared coefficient ranges and byte images.
 Out-of-range coefficients fail at pack time; malformed bytes fail at decode
-time with DecodeError so verification can fail closed. `pack_bits` ORs each
-group of g = 8/gcd(width, 8) fields (g*width/8 whole bytes) into uint64
-words; `unpack_bits` stays one float32 bit-weight product, which measured
-2-5x faster than unpacking from words.
+time with DecodeError so verification can fail closed. Both bit-field
+kernels work on groups of g = 8/gcd(width, 8) fields, which fill g*width/8
+whole bytes. `pack_bits` pairs neighbouring fields into fields of twice the
+width while they fit a uint64, then ORs what is left of each group into
+little-endian words. `unpack_bits` reads every field from the 4-byte
+little-endian word at its byte offset, then shifts and masks.
 
 The private-key decoder deviates from the classic in-memory shape on
 purpose: s1, s2 and t0 come back already widened to the 512-entry (-v, v)
@@ -39,36 +41,57 @@ def pack_bits(values, width: int) -> bytes:
     v = np.asarray(values, dtype=np.int64).reshape(-1).view(np.uint64) & ((1 << width) - 1)
     g = 8 // math.gcd(width, 8)             # fields per group of whole bytes
     fields = np.concatenate((v, np.zeros(-v.size % g, np.uint64))) if v.size % g else v
-    fields = fields.reshape(-1, g).T
-    words = np.zeros((-(-g * width // 64), fields.shape[1]), dtype="<u8")
-    words[0] = fields[0]
-    for j in range(1, g):
-        word, shift = divmod(j * width, 64)
-        words[word] |= fields[j] << shift
-        if shift + width > 64:
-            words[word + 1] |= fields[j] >> (64 - shift)
-    image = words.T.copy().view(np.uint8)[:, :g * width // 8]
+    w = width
+    while g > 1 and 2 * w <= 64:            # g is a power of two: pair neighbours
+        fields = fields[0::2] | (fields[1::2] << w)
+        g, w = g // 2, 2 * w
+    if g == 1:                              # a group is one word
+        words = fields[:, None]
+    else:                                   # a group spans words: OR each field in
+        cols = fields.reshape(-1, g).T
+        words = np.zeros((cols.shape[1], -(-g * w // 64)), dtype="<u8")
+        words[:, 0] = cols[0]
+        for j in range(1, g):
+            word, shift = divmod(j * w, 64)
+            words[:, word] |= cols[j] << shift
+            if shift + w > 64:
+                words[:, word + 1] |= cols[j] >> (64 - shift)
+    image = words.view(np.uint8)[:, :g * w // 8]
     return image.tobytes()[:(v.size * width + 7) // 8]
 
 
-def unpack_bits(data: bytes, width: int, count: int) -> np.ndarray:
-    """The first `count` fields of `width` bits, int64.
+@functools.lru_cache(maxsize=None)          # one entry per width, at most 25
+def _field_pattern(width: int):
+    """Fields per group, group bytes, and each field's byte offset and bit shift in it."""
+    g = 8 // math.gcd(width, 8)
+    bits = np.arange(g) * width
+    return g, g * width // 8, bits >> 3, (bits & 7).astype(np.uint32)
 
-    The bit-weight product runs in float32 (BLAS), which is exact because
-    every field is below 2^24; the codec's widest field has 20 bits.
+
+def unpack_bits(data, width: int, count: int) -> np.ndarray:
+    """The first `count` fields of `width` <= 25 bits, int64.
+
+    Each field is cut from the 4-byte little-endian word that starts at its
+    first byte: a field starts at most 7 bits into that byte, so 25 bits
+    always fit the word. The words are gathered per group of g fields
+    through an unaligned uint32 view, which needs 3 bytes of zeros after
+    the data.
     """
-    if width > 24:
-        raise ValueError(f"field width {width} exceeds float32's 24-bit mantissa")
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
-    if len(bits) < count * width:
+    if width > 25:
+        raise ValueError(f"field width {width} exceeds the 25 bits a 4-byte gather holds")
+    g, step, offsets, shifts = _field_pattern(width)
+    size = (count * width + 7) // 8
+    if len(data) < size:
         raise DecodeError("byte string too short for field count")
-    weights = (1 << np.arange(width)).astype(np.float32)
-    fields = bits[: count * width].reshape(count, width).astype(np.float32) @ weights
-    return fields.astype(np.int64)
+    groups = -(-count // g)
+    buf = bytes(data[:size]) + bytes(groups * step + 3 - size)
+    words = np.ndarray((groups, step), dtype="<u4", buffer=buf, strides=(step, 1))
+    fields = (words[:, offsets] >> shifts) & np.uint32((1 << width) - 1)
+    return fields.reshape(-1)[:count].astype(np.int64)
 
 
 def _check_range(values: np.ndarray, lo: int, hi: int, what: str) -> None:
-    if np.any((values < lo) | (values > hi)):
+    if values.min(initial=lo) < lo or values.max(initial=hi) > hi:
         raise ValueError(f"{what} coefficient outside [{lo}, {hi}]")
 
 
@@ -107,10 +130,10 @@ def pack_eta(s, eta: int) -> bytes:
 
 
 def unpack_eta(data: bytes, m: int, eta: int) -> np.ndarray:
-    vals = eta - unpack_bits(data, _eta_width(eta), m * N)
-    if np.any(np.abs(vals) > eta):
+    fields = unpack_bits(data, _eta_width(eta), m * N)
+    if fields.max(initial=0) > 2 * eta:     # eta - field < -eta; fields are >= 0
         raise DecodeError("secret field out of range")
-    return vals.reshape(m, N)
+    return (eta - fields).reshape(m, N)
 
 
 def _z_width(params: ParameterSet) -> int:
@@ -256,20 +279,29 @@ def _encode_hints(h: np.ndarray, params: ParameterSet) -> bytes:
 
 
 def _decode_hints(data: bytes, params: ParameterSet) -> np.ndarray:
-    raw = np.frombuffer(data, dtype=np.uint8)
-    counts = raw[params.omega:params.omega + params.k].astype(np.int64)
-    per_row = np.diff(counts, prepend=0)
-    if np.any(per_row < 0) or counts[-1] > params.omega:
-        raise DecodeError("hint counts not non-decreasing or above omega")
-    # row*N + position rises strictly iff positions rise strictly within each row
-    flat = np.repeat(np.arange(params.k) * N, per_row) + raw[:counts[-1]]
-    if np.any(np.diff(flat) <= 0):
-        raise DecodeError("hint positions not strictly increasing")
-    if np.any(raw[counts[-1]:params.omega] != 0):
+    """The (k, 256) hint bits from the omega + k byte section, in one pass.
+
+    Row i holds the positions data[counts[i-1]:counts[i]]; the counts must
+    not decrease or pass omega, each row's positions must rise strictly,
+    and the unused position bytes must be zero.
+    """
+    data = bytes(data)
+    omega = params.omega
+    h = bytearray(params.k * N)
+    start = 0
+    for i, end in enumerate(data[omega:omega + params.k]):
+        if end < start or end > omega:
+            raise DecodeError("hint counts not non-decreasing or above omega")
+        last = -1
+        for pos in data[start:end]:
+            if pos <= last:
+                raise DecodeError("hint positions not strictly increasing")
+            h[i * N + pos] = 1
+            last = pos
+        start = end
+    if any(data[start:omega]):
         raise DecodeError("nonzero padding in hint section")
-    h = np.zeros(params.k * N, dtype=np.uint8)
-    h[flat] = 1
-    return h.reshape(params.k, N)
+    return np.frombuffer(h, dtype=np.uint8).reshape(params.k, N)
 
 
 def sig_encode(c_tilde: bytes, z, h, params: ParameterSet) -> bytes:

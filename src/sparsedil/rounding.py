@@ -50,11 +50,18 @@ def make_hint(z, r, alpha: int):
 
 
 def use_hint(h, r, alpha: int):
-    """Recover the high part of the unperturbed value from a hint bit."""
-    m = (Q - 1) // alpha
+    """Recover the high part of the unperturbed value from a hint bit.
+
+    `h` has the shape of `r`. Only the hinted coefficients (at most omega
+    in a signature) move, by +1 where r0 > 0 and -1 elsewhere, mod
+    (q-1)/alpha; the rest keep HighBits(r).
+    """
     r1, r0 = decompose(r, alpha)
-    shifted = np.where(np.asarray(r0) > 0, (r1 + 1) % m, (r1 - 1) % m)
-    return np.where(np.asarray(h, dtype=bool), shifted, r1)
+    hinted = np.flatnonzero(h)
+    out = r1.reshape(-1)                    # r1 is a fresh array: a view to write through
+    out[hinted] = (out[hinted] + np.where(np.asarray(r0).reshape(-1)[hinted] > 0, 1, -1)
+                   ) % ((Q - 1) // alpha)
+    return r1
 
 
 def hint_weight(h) -> int:

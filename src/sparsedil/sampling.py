@@ -111,22 +111,21 @@ def sample_in_ball(seed: bytes, tau: int) -> np.ndarray:
     """The challenge polynomial: tau +-1 coefficients placed by in-place swaps.
 
     Sign bits come from the first 8 stream bytes; each swap target is the
-    next stream byte not above the running position.
+    next stream byte not above the running position. The coefficients are
+    int8 bytes (-1 is 0xFF), and the tau-th placement ends the scan.
     """
     count = _BALL_BYTES
     while True:
         buf = shake256(seed, count)
         signs = int.from_bytes(buf[:8], "little")
-        c = [0] * N
+        c = bytearray(N)
         i = N - tau
         for j in buf[8:]:
-            if i == N:
-                break
             if j <= i:
                 c[i] = c[j]
-                c[j] = 1 - 2 * (signs & 1)
+                c[j] = 0xFF if signs & 1 else 1
                 signs >>= 1
                 i += 1
-        if i == N:
-            return np.array(c, dtype=np.int8)
+                if i == N:
+                    return np.frombuffer(c, dtype=np.int8)
         count += RATES["shake256"]

@@ -225,6 +225,20 @@ def test_selftest_names_lossy_transform(monkeypatch, capsys):
     assert "1 self-test section(s) failed" in out
 
 
+def test_selftest_names_unpacker_that_drops_a_top_bit(monkeypatch, capsys):
+    real = codec.unpack_bits
+
+    def top_bit_lost(data, width, count):
+        return real(data, width, count) & ((1 << (width - 1)) - 1)
+
+    monkeypatch.setattr(codec, "unpack_bits", top_bit_lost)
+    rc = run(["selftest", "--level", "2", "--trials", "2"])
+    assert rc == 3
+    out = capsys.readouterr().out
+    assert "[FAIL] codec-level2" in out
+    assert "differs from a bit reader at width 10" in out
+
+
 def test_selftest_reports_any_exception_and_continues(monkeypatch, capsys):
     def overflow(*args):
         raise OverflowError("int too big to convert")

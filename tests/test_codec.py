@@ -56,9 +56,18 @@ def test_roundtrip_10k_arrays(codec_name):
     assert np.array_equal(back, vals)
 
 
-@pytest.mark.parametrize("width", [3, 4, 10, 13, 18, 20])
+CODEC_WIDTHS = [3, 4, 6, 10, 13, 18, 20]     # eta, w1, t1, t0 and z fields
+
+
+def _unpack_bits_oracle(data, width, count):
+    # the whole string as one Python int, read `width` bits at a time
+    x = int.from_bytes(bytes(data), "little")
+    return [(x >> (i * width)) & ((1 << width) - 1) for i in range(count)]
+
+
+@pytest.mark.parametrize("width", CODEC_WIDTHS)
 def test_unpack_bits_matches_int64_reference(width):
-    # the float32 product must equal an int64 one, at the all-ones maximum too
+    # the gather must equal an int64 bit-weight product, at the all-ones maximum too
     rng = np.random.default_rng(width)
     count = 1024
     for data in (b"\xff" * (count * width // 8),
@@ -73,9 +82,27 @@ def test_unpack_bits_matches_int64_reference(width):
         codec.unpack_bits(bytes(count * width // 8 - 1), width, count)
 
 
-def test_unpack_bits_rejects_fields_float32_cannot_hold():
-    with pytest.raises(ValueError, match="24"):
-        codec.unpack_bits(bytes(32), 25, 8)
+@pytest.mark.parametrize("width", CODEC_WIDTHS + [1, 7, 25])
+def test_unpack_bits_partial_groups_and_buffer_types(width):
+    # counts that end inside a group of fields and inside a byte; bytes-like inputs
+    rng = np.random.default_rng(200 + width)
+    for count in (0, 1, 2, 3, 5, 7, 9, 255, 257, 1023):
+        size = (count * width + 7) // 8
+        data = rng.integers(0, 256, size, dtype=np.uint8).tobytes()
+        want = _unpack_bits_oracle(data, width, count)
+        for buf in (data, bytearray(data), memoryview(data), data + b"\xff\xff"):
+            got = codec.unpack_bits(buf, width, count)
+            assert got.dtype == np.int64 and got.tolist() == want, (count, type(buf))
+        if size:
+            with pytest.raises(codec.DecodeError, match="too short"):
+                codec.unpack_bits(data[:-1], width, count)
+
+
+def test_unpack_bits_rejects_fields_wider_than_25_bits():
+    # a field starts up to 7 bits into its first byte, so 25 bits is what 4 bytes hold
+    assert codec.unpack_bits(b"\xff" * 25, 25, 8).tolist() == [(1 << 25) - 1] * 8
+    with pytest.raises(ValueError, match="25"):
+        codec.unpack_bits(bytes(26), 26, 8)
 
 
 def test_byte_image_roundtrip():
@@ -285,7 +312,7 @@ def test_level_inference():
 
 
 # ---------------------------------------------------------------------------
-# loop oracles for the word-parallel packer and the vectorised hint codec
+# loop oracles for the word-parallel packer and the hint codec
 
 def _pack_bits_oracle(values, width):
     # one bit per int64 lane, then np.packbits

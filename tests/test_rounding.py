@@ -83,6 +83,36 @@ def test_hint_recovery_random():
         assert np.array_equal(use_hint(h, perturbed, alpha), highbits(r, alpha))
 
 
+def _dense_use_hint(h, r, alpha):
+    """The full-size formula: every coefficient moves, then h picks the moved ones."""
+    m = (Q - 1) // alpha
+    r1, r0 = decompose(r, alpha)
+    return np.where(np.asarray(h, dtype=bool), np.where(r0 > 0, (r1 + 1) % m, (r1 - 1) % m), r1)
+
+
+def test_use_hint_matches_dense_formula():
+    rng = np.random.default_rng(8)
+    for lv in LEVELS:
+        p = param_set(lv)
+        r = rng.integers(0, Q, (p.k, 256))
+        # the q-1 fold (r1 folds to 0 with r0 <= 0, so a hint moves it to m - 1)
+        # and both ends of each bucket; the all-ones mask hints every one of them
+        edges = np.array([Q - 1, Q - 2, Q - p.gamma2, Q - p.gamma2 - 1, 0, 1,
+                          p.gamma2, p.gamma2 + 1, p.alpha, p.alpha - 1])
+        r[0, :len(edges)] = edges
+        masks = [np.zeros_like(r, dtype=np.uint8), np.ones_like(r, dtype=np.uint8)]
+        for weight in range(p.omega + 1):
+            h = np.zeros(r.size, dtype=np.uint8)
+            h[rng.choice(r.size, weight, replace=False)] = 1
+            masks.append(h.reshape(r.shape))
+        for h in masks:
+            h_before, r_before = h.copy(), r.copy()
+            got = use_hint(h, r, p.alpha)
+            assert got.shape == r.shape
+            assert np.array_equal(got, _dense_use_hint(h, r, p.alpha)), (lv, int(h.sum()))
+            assert np.array_equal(h, h_before) and np.array_equal(r, r_before)
+
+
 def _bit_trick_decompose(r, alpha):
     """Independent decompose oracle built from shift/mask identities."""
     a1 = (r + 127) >> 7

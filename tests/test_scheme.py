@@ -141,6 +141,23 @@ def test_truncated_signature_rejected(keypairs):
     assert not scheme.verify(p, pk, b"m", sig + b"\x00")
 
 
+def test_every_hint_byte_change_fails_closed(keypairs, params):
+    # every other value of every byte of the hint section, then a truncated
+    # and an extended signature: verify returns False and never raises
+    pk, sk = keypairs[params.level]
+    sig = scheme.sign(params, sk, b"hints")
+    assert scheme.verify(params, pk, b"hints", sig)
+    bad = bytearray(sig)
+    for i in range(len(sig) - params.omega - params.k, len(sig)):
+        for value in range(256):
+            if value != sig[i]:
+                bad[i] = value
+                assert scheme.verify(params, pk, b"hints", bytes(bad)) is False, (i, value)
+        bad[i] = sig[i]
+    assert scheme.verify(params, pk, b"hints", sig[:-1]) is False
+    assert scheme.verify(params, pk, b"hints", sig + b"\x00") is False
+
+
 def test_wrong_key_rejected(keypairs):
     p = param_set(2)
     pk, sk = keypairs[2]
