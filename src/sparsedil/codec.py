@@ -17,7 +17,9 @@ them across restarts. `signing_layout` picks each lane type from tau times
 the coefficient bound, so every signing product is exact: int8 for the
 secrets at levels 2 and 5, int16 at level 3, int32 for t0. Both key decoders
 are memoized per key like `expand_a`, with read-only results: up to 16
-decoded secret keys stay resident until evicted or `cache_clear()`.
+decoded secret keys stay resident until evicted or `cache_clear()`. The
+public-key decoder also returns tr = H(pk, 32), so verifying under a
+resident key does not hash the key again.
 """
 
 import functools
@@ -26,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .keccak import shake256
 from .params import D, LEVELS, N, Q, ParameterSet, param_set
 
 
@@ -202,12 +205,13 @@ def pk_encode(rho: bytes, t1, params: ParameterSet) -> bytes:
 
 
 @_memoized_decoder
-def pk_decode(pk: bytes, params: ParameterSet) -> tuple[bytes, np.ndarray]:
+def pk_decode(pk: bytes, params: ParameterSet) -> tuple[bytes, np.ndarray, bytes]:
+    """(rho, t1, tr): the seed, the 10-bit t1 fields and tr = H(pk, 32)."""
     if len(pk) != pk_size(params):
         raise DecodeError(f"public key must be {pk_size(params)} bytes, got {len(pk)}")
     t1 = unpack_t1(pk[32:], params.k).astype(np.uint16)   # 10-bit fields
     t1.setflags(write=False)
-    return pk[:32], t1
+    return pk[:32], t1, shake256(pk, 32)
 
 
 # ---------------------------------------------------------------------------

@@ -226,6 +226,11 @@ def _ntt_cs(c_hat, s_hat):
     return center(intt_values(ntt_product(c_hat, s_hat)))
 
 
+# t1 * 2^d, centered, for every 10-bit t1: verify's t1 rows enter the NTT as they are
+_T1_SHIFTED = center(np.arange(1 << 10) << D)
+_T1_SHIFTED.setflags(write=False)
+
+
 def verify(params: ParameterSet, pk: bytes, message: bytes, sig: bytes) -> bool:
     """Check a signature: True iff `sig` is valid for `message` under `pk`.
 
@@ -233,18 +238,20 @@ def verify(params: ParameterSet, pk: bytes, message: bytes, sig: bytes) -> bool:
     on them. `message` must be bytes (or bytes-like): a str is a caller
     error and raises TypeError.
     """
-    mu = shake256(shake256(pk, 32) + message, 64)
+    message = memoryview(message)          # a str raises TypeError here
     try:
-        rho, t1 = codec.pk_decode(pk, params)
+        rho, t1, tr = codec.pk_decode(pk, params)
+        mu = shake256(tr + message, 64)
         c_tilde, z, h = codec.sig_decode(sig, params)
     except codec.DecodeError:
         return False
     if norm_inf_exceeds(z, params.gamma1 - params.beta):
         return False
     A = expand_a(rho, params)
-    rows = np.concatenate((sample_in_ball(c_tilde, params.tau)[None],
-                           t1.astype(np.int64) << D, z))
-    c_hat, t1_hat, z_hat = np.split(ntt_values(rows), (1, 1 + params.k))
+    # c, t1 * 2^d and z, all centered
+    rows = np.concatenate((sample_in_ball(c_tilde, params.tau)[None], _T1_SHIFTED[t1], z))
+    rows_hat = ntt_values(rows)
+    c_hat, t1_hat, z_hat = rows_hat[0], rows_hat[1:1 + params.k], rows_hat[1 + params.k:]
     w_approx = intt_values(matvec_hat(A.coeffs, z_hat) - ntt_product(c_hat, t1_hat))
     w1 = use_hint(h, w_approx, params.alpha)
     return c_tilde == shake256(mu + codec.pack_w1(w1, params), 32)

@@ -201,8 +201,11 @@ def test_intt_inverts_ntt_on_full_range():
 
 
 def test_every_input_dtype_transforms_as_int64():
-    # int64 is reduced mod q first; every other dtype is centered in float64,
-    # exact below 2^49: each integer dtype's full range, float64 to 2^49 - 1
+    # int8 and int16 enter the first stage as they are, and so do int32 and
+    # int64 rows within +-(q-1)/2; other int64 is reduced mod q first, other
+    # int32 and float64 are centered in float64, exact below 2^49: each
+    # integer dtype's full range, float64 to 2^49 - 1, and rows on either
+    # side of the pass-through bound
     rng = np.random.default_rng(13)
     inputs = []
     for dtype in (np.int8, np.int16, np.int32):
@@ -214,11 +217,18 @@ def test_every_input_dtype_transforms_as_int64():
     x = rng.integers(-top, top, (3, N), endpoint=True).astype(np.float64)
     x[0, :4] = -top, top, -Q * (2**25), Q * (2**25) + (Q - 1) // 2
     inputs.append(x)
+    for dtype in (np.int32, np.int64):
+        for edges in ((-HALF, HALF), (-HALF - 1, HALF), (-HALF, HALF + 1), (0, Q - 1)):
+            x = rng.integers(-HALF, HALF + 1, (3, N)).astype(dtype)
+            x[0, :2] = edges
+            inputs.append(x)
     for x in inputs:
         ref = x.astype(np.int64)
-        for fn in (ring.ntt_values, ring.intt_values):
+        for fn, definition in ((ring.ntt_values, _NTT_DEF), (ring.intt_values, _INTT_DEF)):
             got = fn(x)
             assert got.dtype == np.int64 and np.array_equal(got, fn(ref)), (x.dtype, fn)
+            if x.dtype != np.float64:
+                assert np.array_equal(got, _by_definition(ref, definition)), (x.dtype, fn)
 
 
 @pytest.mark.parametrize("i", [0, 1, 2, 127, 128, 200, 255])

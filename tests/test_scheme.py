@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import sparsedil
-from sparsedil import codec, instrumentation, scheme, sparse
+from sparsedil import codec, instrumentation, ring, rounding, scheme, sparse
 from sparsedil.keccak import shake256
 from sparsedil.params import D, LEVELS, N, Q, param_set
 from sparsedil.ring import intt_values, ntt_values
@@ -44,7 +44,7 @@ def test_t_reconstruction(keypairs):
         p = param_set(lv)
         pk, sk = keypairs[lv]
         dec = codec.sk_decode_extended(sk, p)
-        _, t1 = codec.pk_decode(pk, p)
+        _, t1, _ = codec.pk_decode(pk, p)
         A = expand_a(dec.rho, p)
         s1 = dec.s1_ext[:, N:].astype(np.int64)
         s2 = dec.s2_ext[:, N:].astype(np.int64)
@@ -202,6 +202,51 @@ def test_verify_str_message_is_caller_error(keypairs):
         scheme.verify(p, pk, "text", sig)
     with pytest.raises(TypeError):       # before the signature is even decoded
         scheme.verify(p, pk, "text", sig[:-1])
+
+
+def test_verify_hashes_a_resident_key_once(keypairs, params):
+    # tr = H(pk, 32) comes from the memoized pk_decode: a verify under a
+    # resident key hashes only mu, the recomputed c_tilde and c's stream
+    pk, sk = keypairs[params.level]
+    sig = scheme.sign(params, sk, b"tr")
+    codec.pk_decode.cache_clear()
+    counts = []
+    for _ in range(2):
+        with instrumentation.counting() as cn:
+            assert scheme.verify(params, pk, b"tr", sig)
+        counts.append(cn.xof_bytes)
+    assert counts[0] - counts[1] == 32
+    assert codec.pk_decode(pk, params)[2] == shake256(pk, 32)
+
+
+@pytest.mark.parametrize("op", ["keygen", "sign", "verify"])
+def test_default_operations_make_no_center_call(keypairs, params, op, monkeypatch):
+    # every operand the default path transforms or norm-checks is centered
+    # already: c, the masks, s1, t1 * 2^d and z enter the NTT as they are
+    pk, sk = keypairs[params.level]
+    sig = scheme.sign(params, sk, b"no center")
+    calls = []
+    real = ring.center
+
+    def counted(values):
+        calls.append(np.shape(values))
+        return real(values)
+
+    for module in (ring, rounding, scheme):
+        monkeypatch.setattr(module, "center", counted)
+    for i in range(3):
+        if op == "keygen":
+            scheme.keygen(params, bytes([i, 7]) * 16)
+        elif op == "sign":
+            scheme.sign(params, sk, b"no center %d" % i)
+        else:
+            assert scheme.verify(params, pk, b"no center", sig)
+    assert calls == []
+
+
+def test_t1_table_is_centered_t1_times_2d():
+    t = np.arange(1 << 10)
+    assert np.array_equal(scheme._T1_SHIFTED, ring.center(t << D))
 
 
 def test_byte_like_keys_sign_and_verify(keypairs, params):
