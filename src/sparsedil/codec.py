@@ -41,13 +41,15 @@ class DecodeError(ValueError):
 
 def pack_bits(values, width: int) -> bytes:
     """Fields of `width` <= 64 bits, each value cut to its low `width` bits."""
-    v = np.asarray(values, dtype=np.int64).reshape(-1).view(np.uint64) & ((1 << width) - 1)
+    v = np.array(values, dtype=np.int64).reshape(-1).view(np.uint64)   # a copy: cut in place
+    v &= np.uint64((1 << width) - 1)
     g = 8 // math.gcd(width, 8)             # fields per group of whole bytes
     fields = np.concatenate((v, np.zeros(-v.size % g, np.uint64))) if v.size % g else v
     w = width
     while g > 1 and 2 * w <= 64:            # g is a power of two: pair neighbours
-        fields = fields[0::2] | (fields[1::2] << w)
-        g, w = g // 2, 2 * w
+        paired = fields[1::2] << w
+        paired |= fields[0::2]
+        fields, g, w = paired, g // 2, 2 * w
     if g == 1:                              # a group is one word
         words = fields[:, None]
     else:                                   # a group spans words: OR each field in
@@ -127,7 +129,7 @@ def _eta_width(eta: int) -> int:
 
 
 def pack_eta(s, eta: int) -> bytes:
-    v = np.asarray(s, dtype=np.int64)
+    v = np.asarray(s)                       # eta - v in [0, 2*eta] fits v's own dtype
     _check_range(v, -eta, eta, "secret")
     return pack_bits(eta - v, _eta_width(eta))
 
@@ -231,10 +233,8 @@ class DecodedSecret:
 
 def sk_encode(rho: bytes, key: bytes, tr: bytes, s1, s2, t0,
               params: ParameterSet) -> bytes:
-    return (rho + key + tr
-            + pack_eta(s1, params.eta)
-            + pack_eta(s2, params.eta)
-            + pack_t0(t0))
+    s = np.concatenate((np.reshape(s1, (-1, N)), np.reshape(s2, (-1, N))))
+    return rho + key + tr + pack_eta(s, params.eta) + pack_t0(t0)
 
 
 def signing_layout(s, bound: int, params: ParameterSet) -> np.ndarray:

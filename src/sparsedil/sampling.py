@@ -7,11 +7,18 @@ taken from the first 8 bytes of the stream.
 
 Each sampler is one pass: it takes one fixed-length one-shot digest per row
 (a prefix of that row's SHAKE stream) and decodes all its rows together.
-The rejection samplers keep the first N accepted values of each row. SHAKE
-output is a prefix stream, so `shake(x, n + m)[:n] == shake(x, n)`: should a
-row accept fewer than N values, the sampler asks for one more block of every
-row's digest and decodes again, which yields exactly what reading the stream
-further would. It never truncates a row.
+The rejection samplers keep the first N accepted values of each row.
+ExpandA reads every 23-bit draw from one unaligned little-endian 4-byte
+gather; a row whose first N draws are all below q is kept as it is, and
+only rows with a rejection are compacted. ExpandS maps each digest byte to
+both of its nibbles' values through a 256-entry table that also marks the
+rejected nibbles, and compacts every row. Compacting takes the flat
+positions of the accepted values and finds each row's first one by binary
+search, so no running count over every draw is formed. SHAKE output is a
+prefix stream, so `shake(x, n + m)[:n] == shake(x, n)`: should a row
+accept fewer than N values, the sampler asks for one more block of every
+row's digest and decodes again, which yields exactly what reading the
+stream further would. It never truncates a row.
 """
 
 import functools
@@ -31,39 +38,97 @@ _A_BYTES = 5 * RATES["shake128"]
 _S_BYTES = {2: 2 * RATES["shake256"], 4: 3 * RATES["shake256"]}
 _BALL_BYTES = RATES["shake256"]
 
-# Nibbles below the limit are accepted; the table maps them onto [-eta, eta].
-_ETA_LIMIT = {2: 15, 4: 9}
-_ETA_VALUES = {eta: np.array([eta - v % (2 * eta + 1) for v in range(16)], dtype=np.int8)
-               for eta in _ETA_LIMIT}
+_REJECTED = -128                 # marks a rejected nibble in the eta tables
 
 
-def _digests(xof, seed: bytes, nonces, count: int) -> np.ndarray:
+def _eta_pairs(eta: int) -> np.ndarray:
+    """Both nibbles of every byte, low first, as int8 values in [-eta, eta].
+
+    eta 2 accepts nibbles below 15 and eta 4 those below 9; the others map to
+    _REJECTED. Each (low, high) pair is read as one int16 entry, so one
+    gather decodes a byte.
+    """
+    limit = {2: 15, 4: 9}[eta]
+    value = [eta - v % (2 * eta + 1) if v < limit else _REJECTED for v in range(16)]
+    pairs = np.array([(value[b & 0xF], value[b >> 4]) for b in range(256)], dtype=np.int8)
+    table = pairs.view(np.int16).reshape(256)
+    table.setflags(write=False)
+    return table
+
+
+_ETA_PAIRS = {eta: _eta_pairs(eta) for eta in (2, 4)}
+
+
+def _digests(xof, seed: bytes, nonces, count: int) -> list[bytes]:
     """One `count`-byte digest of seed || nonce (2 bytes, little-endian) per row."""
-    blob = b"".join(xof(seed + n.to_bytes(2, "little"), count) for n in nonces)
-    return np.frombuffer(blob, dtype=np.uint8).reshape(len(nonces), count)
+    return [xof(seed + n.to_bytes(2, "little"), count) for n in nonces]
 
 
 def _rejection_rows(xof, rate: int, seed: bytes, nonces, count: int, decode) -> np.ndarray:
     """The first N accepted values of each row, from one digest per nonce.
 
-    `decode` turns the (rows, count) digest bytes into candidate values and
-    their acceptance mask, both (rows, m) in stream order. If any row accepts
-    fewer than N, every digest grows by one block of `rate` bytes.
+    `decode(digests, rows, count)` reads the rows' digests joined and
+    followed by one zero byte. It returns the (rows, N) values, or None if
+    a row accepts fewer than N; then every digest grows by one block of
+    `rate` bytes.
     """
     while True:
-        values, ok = decode(_digests(xof, seed, nonces, count))
-        rank = np.cumsum(ok, axis=1, dtype=np.int32)
-        if rank[:, -1].min() >= N:
-            return values[ok & (rank <= N)].reshape(len(nonces), N)
+        digests = b"".join(_digests(xof, seed, nonces, count) + [b"\0"])
+        values = decode(digests, len(nonces), count)
+        if values is not None:
+            return values
         count += rate
 
 
-def _below_q(buf: np.ndarray):
-    """23-bit little-endian chunks of three bytes; those below q are accepted."""
-    b = buf.reshape(len(buf), -1, 3)
-    t = (b[..., 0].astype(np.int32) | (b[..., 1].astype(np.int32) << 8)
-         | ((b[..., 2] & 0x7F).astype(np.int32) << 16))
-    return t, t < Q
+def _first_accepted(values: np.ndarray, ok: np.ndarray):
+    """The first N values of each row where `ok`, or None if a row has fewer.
+
+    The accepted values of all rows are gathered in stream order. Row r's
+    values start at the first accepted flat position at or past r*m, which
+    a binary search over the sorted positions finds; its output is the
+    N-value window of the gathered values from there, read through a
+    strided view.
+    """
+    m = ok.shape[1]
+    pos = np.flatnonzero(ok)
+    first = pos.searchsorted(np.arange(0, (len(ok) + 1) * m, m))
+    if (first[1:] - first[:-1]).min() < N:
+        return None
+    accepted = values.reshape(-1)[pos]
+    del pos                                 # int64 per value: the largest temporary
+    windows = np.ndarray((len(accepted) - N + 1, N), accepted.dtype, accepted, 0,
+                         accepted.strides * 2)
+    return windows[first[:-1]]
+
+
+def _uniform_rows(digests: bytes, rows: int, count: int):
+    """The first N 23-bit little-endian draws below q of each row, int32.
+
+    Each draw is the 4-byte word at its offset masked to 23 bits; the zero
+    byte after the digests completes the last row's last word. A row whose
+    first N draws are all below q is kept as it is; only the others are
+    compacted, from all their draws.
+    """
+    if count // 3 < N:
+        return None
+    words = np.ndarray((rows, count // 3), "<u4", digests, strides=(count, 3))
+    mask = np.uint32(0x7FFFFF)
+    out = (words[:, :N] & mask).view(np.int32)
+    dirty = np.flatnonzero(out.max(axis=1) >= Q)
+    if len(dirty):
+        redo = (words[dirty] & mask).view(np.int32)
+        picked = _first_accepted(redo, redo < Q)
+        if picked is None:
+            return None
+        out[dirty] = picked
+    return out
+
+
+def _eta_rows(digests: bytes, rows: int, count: int, eta: int):
+    """The first N accepted nibbles of each row, low nibble first, as int8 in [-eta, eta]."""
+    pairs = _ETA_PAIRS[eta].take(np.frombuffer(digests, np.uint8, rows * count))
+    values = pairs.view(np.int8).reshape(rows, 2 * count)
+    return _first_accepted(values, values != _REJECTED)
 
 
 @functools.lru_cache(maxsize=16)
@@ -77,7 +142,8 @@ def expand_a(rho: bytes, params: ParameterSet) -> Poly:
     """
     k, l = params.k, params.l
     nonces = [(i << 8) + j for i in range(k) for j in range(l)]
-    coeffs = _rejection_rows(shake128, RATES["shake128"], rho, nonces, _A_BYTES, _below_q)
+    coeffs = _rejection_rows(shake128, RATES["shake128"], rho, nonces, _A_BYTES,
+                             _uniform_rows)
     mat = Poly(coeffs.reshape(k, l, N), Domain.NTT)
     mat.coeffs.setflags(write=False)
     return mat
@@ -90,21 +156,16 @@ def expand_s(rho_prime: bytes, params: ParameterSet) -> tuple[np.ndarray, np.nda
     onto [-eta, eta].
     """
     eta, l = params.eta, params.l
-
-    def nibbles(buf):
-        nib = np.stack((buf & 0xF, buf >> 4), axis=-1).reshape(len(buf), -1)
-        return nib, nib < _ETA_LIMIT[eta]
-
-    rows = _rejection_rows(shake256, RATES["shake256"], rho_prime, range(l + params.k),
-                           _S_BYTES[eta], nibbles)
-    s = _ETA_VALUES[eta][rows]
+    s = _rejection_rows(shake256, RATES["shake256"], rho_prime, range(l + params.k),
+                        _S_BYTES[eta], functools.partial(_eta_rows, eta=eta))
     return s[:l], s[l:]
 
 
 def expand_mask(rho_prime: bytes, kappa: int, params: ParameterSet) -> Poly:
     """Mask vector y, (l, 256), with coefficients in (-gamma1, gamma1], nonces kappa..kappa+l-1."""
-    buf = _digests(shake256, rho_prime, range(kappa, kappa + params.l), z_packed_bytes(params))
-    return Poly(unpack_z(buf.tobytes(), params).reshape(params.l, N), Domain.STANDARD)
+    buf = b"".join(_digests(shake256, rho_prime, range(kappa, kappa + params.l),
+                            z_packed_bytes(params)))
+    return Poly(unpack_z(buf, params).reshape(params.l, N), Domain.STANDARD)
 
 
 def sample_in_ball(seed: bytes, tau: int) -> np.ndarray:

@@ -17,7 +17,8 @@ computes the other, as in the round-3 reference signer:
 
 The products are exact at every level, so all three backends produce
 byte-identical signatures, and sparse_fused is the default everywhere.
-The r0 check is |LowBits(w) - c*s2| < gamma2 - beta, exact as |c*s2| <= beta.
+The r0 check is |LowBits(w) - c*s2| < gamma2 - beta, exact as |c*s2| <= beta;
+every backend passes it the LowBits(w) that the w1 decomposition left.
 
 Attempts run in speculative blocks of SIGN_BLOCK. Attempts are independent
 until their checks run, so a block draws all its masks, computes every
@@ -96,7 +97,7 @@ class SignTrace:
     cs1_modmuls: int = 0     # modular multiplications inside c*s1 (0 on byte lanes)
     cs2_modmuls: int = 0     # the same for c*s2
     accepted_z_max: int = 0  # |z|_inf of the signed attempt
-    accepted_r0_max: int = 0  # |LowBits(w - c*s2)|_inf of the signed attempt
+    accepted_r0_max: int = 0  # |LowBits(w) - c*s2|_inf of the signed attempt
 
 
 def keygen(params: ParameterSet, zeta: bytes) -> tuple[bytes, bytes]:
@@ -139,7 +140,7 @@ def sign(params: ParameterSet, sk: bytes, message: bytes,
 
     gamma2, alpha = params.gamma2, params.alpha
     z_bound, r0_bound = params.gamma1 - params.beta, gamma2 - params.beta
-    for y, w, w1_packed in _speculative_attempts(params, a_hat, rho_pp):
+    for y, w, w0, w1_packed in _speculative_attempts(params, a_hat, rho_pp):
         checks: list[str] = []
         if trace is not None:
             trace.iterations.append(checks)
@@ -148,12 +149,12 @@ def sign(params: ParameterSet, sk: bytes, message: bytes,
         if backend is Backend.NTT:
             c_hat = ntt_values(c)
             run = {"z": lambda: z_check(y, _ntt_cs(c_hat, s1_hat), z_bound),
-                   "r0": lambda: r0_check(w, _ntt_cs(c_hat, s2_hat), gamma2, r0_bound),
+                   "r0": lambda: r0_check(w0, _ntt_cs(c_hat, s2_hat), gamma2, r0_bound),
                    "ct0": lambda: _ntt_cs(c_hat, t0_hat)}
         else:
             index = encode_challenge(c, params.tau)
             run = {"z": lambda: fused_z(index, dec.s1_ext, y, z_bound),
-                   "r0": lambda: fused_r0(index, dec.s2_ext, w, gamma2, r0_bound),
+                   "r0": lambda: fused_r0(index, dec.s2_ext, w0, gamma2, r0_bound),
                    "ct0": lambda: sparse_mul_branchless_vec(index, dec.t0_ext, params.tau)}
 
         done = {}
@@ -171,8 +172,7 @@ def sign(params: ParameterSet, sk: bytes, message: bytes,
                 if hint_weight(h) <= params.omega:
                     if trace is not None:
                         trace.accepted_z_max = int(np.max(np.abs(z)))
-                        r0 = decompose((w - cs2) % Q, alpha)[1]
-                        trace.accepted_r0_max = int(np.max(np.abs(r0)))
+                        trace.accepted_r0_max = int(np.max(np.abs(w0 - cs2)))
                     return codec.sig_encode(c_tilde, z, h, params)
 
         if trace is not None:
@@ -181,21 +181,31 @@ def sign(params: ParameterSet, sk: bytes, message: bytes,
 
 
 def _speculative_attempts(params, a_hat, rho_pp):
-    """Yield (y, w, packed w1) of attempts 0 .. MAX_SIGN_ATTEMPTS-1 in kappa order.
+    """Yield (y, w, w0, packed w1) of attempts 0 .. MAX_SIGN_ATTEMPTS-1 in kappa order.
 
     Each block of SIGN_BLOCK attempts is computed when its first attempt is
     asked for: its masks (last attempt first), w = A*y for all of them in
-    one chain, and one packing of their w1, sliced per attempt.
+    one chain, (w1, w0) = Decompose(w) per attempt, and one packing of
+    their w1, sliced per attempt.
     """
     for first in range(0, MAX_SIGN_ATTEMPTS, SIGN_BLOCK):
         kappas = range(first, min(first + SIGN_BLOCK, MAX_SIGN_ATTEMPTS))
         ys = np.stack([expand_mask(rho_pp, kappa * params.l, params).coeffs
                        for kappa in reversed(kappas)][::-1])
         ws = intt_values(matvec_hat(a_hat, ntt_values(ys)))
-        w1_bytes = codec.pack_w1(np.stack([decompose(w, params.alpha)[0] for w in ws]), params)
+        w1_bytes, w0s = _packed_high_low(ws, params)
         size = len(w1_bytes) // len(kappas)
         for i in range(len(kappas)):
-            yield ys[i], ws[i], w1_bytes[i * size:(i + 1) * size]
+            yield ys[i], ws[i], w0s[i], w1_bytes[i * size:(i + 1) * size]
+
+
+def _packed_high_low(ws, params):
+    """Decompose each w of a block: all their w1 packed at once, and each w0.
+
+    Only the packed w1 outlives the call, not the unpacked w1 arrays.
+    """
+    parts = [decompose(w, params.alpha) for w in ws]
+    return codec.pack_w1(np.stack([w1 for w1, _ in parts]), params), [w0 for _, w0 in parts]
 
 
 _CHECK_ORDER = {

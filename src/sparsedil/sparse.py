@@ -187,10 +187,15 @@ def r0_check(w, prod: np.ndarray, gamma2: int, bound: int) -> FusedR0:
     """Accepts c*s2 when |LowBits(w, 2*gamma2) - c*s2| < bound everywhere.
 
     The r0 check of round 3 and FIPS 204: it decides as |LowBits(w - c*s2)|
-    does while |c*s2| <= gamma2 - bound, as |c*s2| <= beta ensures.
+    does while |c*s2| <= gamma2 - bound, as |c*s2| <= beta ensures. `w` is
+    either w in [0, q) or its centered LowBits(w), which the signer already
+    has. LowBits is the identity on [-gamma2, gamma2] (mod q), so when one
+    min/max shows `w` lies there it is used as it is, not decomposed again.
     """
     w = np.asarray(w, dtype=np.int64)
-    ok = bool(np.abs(decompose(w, 2 * gamma2)[1] - prod).max() < bound)
+    if w.min() < -gamma2 or w.max() > gamma2:
+        w = decompose(w, 2 * gamma2)[1]
+    ok = bool(np.abs(w - prod).max() < bound)
     return FusedR0(ok, prod.astype(np.int64, copy=False), w.shape[0] * _BLOCKS_PER_POLY)
 
 
@@ -207,6 +212,7 @@ def fused_r0(index, ext_s2: np.ndarray, w: np.ndarray, gamma2: int, bound: int) 
     """The r0 check, |LowBits(w) - c*s2| < bound, fused onto the product c*s2.
 
     One gather over all rows, then one check on the whole vector; c*s2 is
-    returned for the later hint computation.
+    returned for the later hint computation. `w` is w or LowBits(w), as
+    for `r0_check`.
     """
     return r0_check(w, _gather_product(index, ext_s2), gamma2, bound)

@@ -138,7 +138,11 @@ def test_decompose_matches_bit_trick_oracle_exhaustively():
 
 
 def test_r0_check_matches_lowbits_of_difference_exhaustively():
-    """|LowBits(w) - d| decides as |LowBits(w - d)| for every w and every |d| <= beta."""
+    """|LowBits(w) - d| decides as |LowBits(w - d)| for every w and every |d| <= beta.
+
+    The signer passes LowBits(w) itself, which r0_check takes as it is;
+    given w or LowBits(w), it must decide alike.
+    """
     rng = np.random.default_rng(6)
     r = np.arange(Q, dtype=np.int64)
     for lv in LEVELS:
@@ -154,18 +158,32 @@ def test_r0_check_matches_lowbits_of_difference_exhaustively():
             want = np.roll(exceeds, d)      # want[r] = exceeds[(r - d) mod q]
             for start in range(0, Q, 1 << 21):
                 w, out = r[start:start + (1 << 21)], want[start:start + (1 << 21)]
-                # one call accepts every in-bound w; each out-of-bound w rejects alone
-                assert not rejects(w[~out], np.int16(d)), (lv, d, start)
-                assert all(rejects(x, np.int16(d)) for x in w[out, None]), (lv, d, start)
+                for given in (w, decompose(w, p.alpha)[1]):
+                    # one call accepts every in-bound w; each out-of-bound w rejects alone
+                    assert not rejects(given[~out], np.int16(d)), (lv, d, start)
+                    assert all(rejects(x, np.int16(d)) for x in given[out, None]), (lv, d, start)
         # a seeded sample of every other offset, one per w
         w = rng.integers(0, Q, 1 << 18)
         d = rng.integers(-p.beta, p.beta + 1, w.size)
         want = exceeds[(w - d) % Q]
-        assert not rejects(w[~want], d[~want]), lv
-        assert all(rejects(w[i:i + 1], d[i:i + 1]) for i in np.flatnonzero(want)), lv
+        for given in (w, decompose(w, p.alpha)[1]):
+            assert not rejects(given[~want], d[~want]), lv
+            assert all(rejects(given[i:i + 1], d[i:i + 1]) for i in np.flatnonzero(want)), lv
     # the q-1 fold pushes exactly r = q - bound over the bound
     assert rejects(np.array([Q - bound]), 0)
     assert not rejects(np.array([Q - bound + 1]), 0)
+    assert rejects(decompose(np.array([Q - bound]), p.alpha)[1], 0)
+
+
+def test_lowbits_is_the_identity_on_its_range():
+    # r0_check takes a w inside [-gamma2, gamma2] as LowBits(w) already; every
+    # LowBits output, the -gamma2 of the q-1 fold included, lies there and
+    # decomposes to itself
+    r = np.arange(Q, dtype=np.int64)
+    for alpha in ALPHAS:
+        r0 = decompose(r, alpha)[1]
+        assert r0.min() == -alpha // 2 and r0.max() == alpha // 2
+        assert np.array_equal(decompose(r0 % Q, alpha)[1], r0)
 
 
 def test_lowbits_matches_decompose():

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 
 from sparsedil import sampling, sparse
+from sparsedil.keccak import RATES
 from sparsedil.params import LEVELS, N, Q, param_set
 from sparsedil.ring import Domain
 
@@ -149,28 +150,38 @@ def test_sampler_known_answer_digests(params):
     assert _sampler_digest(params.level) == SAMPLER_DIGESTS[params.level]
 
 
+def _reference_uniform(buf: bytes) -> list:
+    """The scalar ExpandA reader: 3-byte draws masked to 23 bits, the first N below q."""
+    out = []
+    for i in range(0, len(buf) - 2, 3):
+        t = int.from_bytes(buf[i:i + 3], "little") & 0x7FFFFF
+        if t < Q and len(out) < N:
+            out.append(t)
+    return out
+
+
+def _reference_eta(buf: bytes, eta: int) -> list:
+    """The scalar ExpandS reader: nibbles low first, the first N accepted, onto [-eta, eta]."""
+    out = []
+    for byte in buf:
+        for nib in (byte & 0xF, byte >> 4):
+            if eta == 2 and nib < 15 and len(out) < N:
+                out.append(2 - nib % 5)
+            elif eta == 4 and nib < 9 and len(out) < N:
+                out.append(4 - nib)
+    return out
+
+
 def _reference_samplers(seed: bytes, p):
     """Scalar spec-order samplers, one row at a time, over a long stream prefix."""
     def stream(xof, msg):
         return xof(msg).digest(4096)
 
     def uniform(nonce):
-        buf, out = stream(hashlib.shake_128, seed[:32] + nonce.to_bytes(2, "little")), []
-        for i in range(0, len(buf), 3):
-            t = int.from_bytes(buf[i:i + 3], "little") & 0x7FFFFF
-            if t < Q and len(out) < N:
-                out.append(t)
-        return out
+        return _reference_uniform(stream(hashlib.shake_128, seed[:32] + nonce.to_bytes(2, "little")))
 
     def eta_row(nonce):
-        out = []
-        for byte in stream(hashlib.shake_256, seed + nonce.to_bytes(2, "little")):
-            for nib in (byte & 0xF, byte >> 4):
-                if p.eta == 2 and nib < 15 and len(out) < N:
-                    out.append(2 - nib % 5)
-                elif p.eta == 4 and nib < 9 and len(out) < N:
-                    out.append(4 - nib)
-        return out
+        return _reference_eta(stream(hashlib.shake_256, seed + nonce.to_bytes(2, "little")), p.eta)
 
     def ball():
         buf = stream(hashlib.shake_256, seed[:32])
@@ -219,3 +230,149 @@ def test_short_prefix_extends_to_the_same_output(params, monkeypatch):
         got_c = sampling.sample_in_ball(s[:32], params.tau)
         for got, ref in ((got_a, a), (got_s1, s1), (got_s2, s2), (got_c, c)):
             assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+
+# -- the selection step on constructed streams ---------------------------------
+# A stub XOF serves chosen byte streams (prefixes of one fixed stream per
+# message, as SHAKE would) so that the rejections fall where a case needs them.
+
+STREAM_BYTES = 4200
+
+
+def _stub_xof(streams, asked):
+    def xof(data, count):
+        asked.append(count)
+        return streams[bytes(data)][:count]
+    return xof
+
+
+def _draw_bytes(values) -> bytes:
+    return b"".join(int(v).to_bytes(3, "little") for v in values)
+
+
+def _clean_draws(rng, count):
+    """Draws below q, each with a random bit 23 that the sampler masks off."""
+    return rng.integers(0, Q, count) | (rng.integers(0, 2, count) << 23)
+
+
+def _nibble_bytes(nibbles) -> bytes:
+    nib = np.asarray(nibbles, dtype=np.uint8)
+    return (nib[0::2] | (nib[1::2] << 4)).tobytes()           # low nibble first
+
+
+def _expand_a_on(streams, params, monkeypatch):
+    asked = []
+    monkeypatch.setattr(sampling, "shake128", _stub_xof(streams, asked))
+    return sampling.expand_a.__wrapped__(bytes(32), params).coeffs, asked
+
+
+def _a_streams(params, rng, rows):
+    """Clean draws for every (i, j) of A, with `rows` replacing chosen ones."""
+    nonces = [(i << 8) + j for i in range(params.k) for j in range(params.l)]
+    streams = {bytes(32) + n.to_bytes(2, "little"): _draw_bytes(_clean_draws(rng, STREAM_BYTES // 3))
+               for n in nonces}
+    for n, draws in rows.items():
+        streams[bytes(32) + n.to_bytes(2, "little")] = _draw_bytes(
+            np.concatenate((draws, _clean_draws(rng, STREAM_BYTES // 3 - len(draws)))))
+    return streams
+
+
+def _check_a(coeffs, streams, params):
+    assert coeffs.dtype == np.int32
+    for i in range(params.k):
+        for j in range(params.l):
+            buf = streams[bytes(32) + ((i << 8) + j).to_bytes(2, "little")]
+            assert coeffs[i, j].tolist() == _reference_uniform(buf), (i, j)
+
+
+def test_expand_a_selection_on_constructed_rejections(params, monkeypatch):
+    rng = np.random.default_rng(190 + params.level)
+    last = (params.k - 1 << 8) + params.l - 1
+    at_n_1 = _clean_draws(rng, N)
+    at_n_1[N - 1] = Q + 5                               # draw N-1 rejected
+    masked = [Q | 1 << 23, Q - 1 | 1 << 23, 0x7FFFFF, 0xFFFFFF, Q - 1, 1 << 23]
+    rows = {0: np.array([Q]),                           # draw 0 rejected
+            1: at_n_1,
+            1 << 8: np.array(masked),                   # q rejected, q - 1 kept, top bit set or not
+            last: np.array([Q, Q + 1, Q - 1])}
+    streams = _a_streams(params, rng, rows)
+    coeffs, asked = _expand_a_on(streams, params, monkeypatch)
+    _check_a(coeffs, streams, params)
+    assert coeffs[1, 0, :3].tolist() == [Q - 1, Q - 1, 0]
+    assert coeffs[0, 1, :N - 1].tolist() == (at_n_1[:N - 1] & 0x7FFFFF).tolist()
+    assert set(asked) == {sampling._A_BYTES}
+
+
+def test_expand_a_row_one_draw_short_extends(params, monkeypatch):
+    # one row has N - 1 draws below q in its first digest, every other row
+    # none rejected: the sampler must read one more block, and only that
+    # row changes from its first N draws
+    rng = np.random.default_rng(191 + params.level)
+    first = sampling._A_BYTES // 3
+    short = _clean_draws(rng, first)
+    short[rng.choice(first, first - (N - 1), replace=False)] = Q
+    row = params.l + 1 if params.k > 1 else 0
+    nonce = (row // params.l << 8) + row % params.l
+    streams = _a_streams(params, rng, {nonce: short})
+    coeffs, asked = _expand_a_on(streams, params, monkeypatch)
+    _check_a(coeffs, streams, params)
+    assert asked == [sampling._A_BYTES] * (params.k * params.l) + \
+        [sampling._A_BYTES + RATES["shake128"]] * (params.k * params.l)
+    clean = np.ones(params.k * params.l, dtype=bool)
+    clean[row] = False
+    heads = np.array([_reference_uniform(streams[bytes(32) + ((i << 8) + j).to_bytes(2, "little")]
+                                         [:3 * N]) for i in range(params.k) for j in range(params.l)],
+                     dtype=object)
+    assert all(len(h) == N for h in heads[clean])
+    assert len(heads[row]) < N
+
+
+def _eta_streams(params, rng, rows):
+    """Accepted nibbles for every row of (s1, s2), with `rows` replacing chosen ones."""
+    limit = {2: 15, 4: 9}[params.eta]
+    count = 2 * STREAM_BYTES
+    streams = {}
+    for r in range(params.l + params.k):
+        nib = rng.integers(0, limit, count)
+        if r in rows:
+            nib[:len(rows[r])] = rows[r]
+        streams[bytes(64) + r.to_bytes(2, "little")] = _nibble_bytes(nib)
+    return streams
+
+
+def _check_s(streams, params, monkeypatch):
+    asked = []
+    monkeypatch.setattr(sampling, "shake256", _stub_xof(streams, asked))
+    s1, s2 = sampling.expand_s(bytes(64), params)
+    assert s1.dtype == s2.dtype == np.int8
+    for r, got in enumerate(np.concatenate((s1, s2))):
+        assert got.tolist() == _reference_eta(streams[bytes(64) + r.to_bytes(2, "little")],
+                                              params.eta), r
+    return s1, s2, asked
+
+
+def test_expand_s_selection_on_constructed_rejections(params, monkeypatch):
+    rng = np.random.default_rng(192 + params.level)
+    eta, limit = params.eta, {2: 15, 4: 9}[params.eta]
+    at_n_1 = rng.integers(0, limit, N)
+    at_n_1[N - 1] = limit                               # nibble N-1 (a high one) rejected
+    rows = {0: [limit, 0],                              # nibble 0 (a low one) rejected
+            1: at_n_1,
+            2: [limit, limit - 1, limit - 1, limit, 15, 0]}   # the first rejected value, both halves
+    s1, s2, asked = _check_s(_eta_streams(params, rng, rows), params, monkeypatch)
+    s = np.concatenate((s1, s2))
+    low = eta - (limit - 1) % (2 * eta + 1)             # -2 at eta 2, -4 at eta 4
+    assert s[0, 0] == eta and s[2, :3].tolist() == [low, low, eta]
+    assert set(asked) == {sampling._S_BYTES[eta]}
+
+
+def test_expand_s_row_one_nibble_short_extends(params, monkeypatch):
+    rng = np.random.default_rng(193 + params.level)
+    limit = {2: 15, 4: 9}[params.eta]
+    first = 2 * sampling._S_BYTES[params.eta]
+    short = rng.integers(0, limit, first)
+    short[rng.choice(first, first - (N - 1), replace=False)] = 15
+    rows = params.l + params.k
+    _, _, asked = _check_s(_eta_streams(params, rng, {rows - 1: short}), params, monkeypatch)
+    assert asked == [sampling._S_BYTES[params.eta]] * rows + \
+        [sampling._S_BYTES[params.eta] + RATES["shake256"]] * rows

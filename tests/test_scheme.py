@@ -244,6 +244,43 @@ def test_default_operations_make_no_center_call(keypairs, params, op, monkeypatc
     assert calls == []
 
 
+@pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.value)
+def test_signer_makes_no_decompose_call_in_sparse(keypairs, params, backend, monkeypatch):
+    # the r0 check reads the LowBits(w) left by the w1 decomposition, so
+    # sparse never decomposes w again (every backend's r0 check is sparse's)
+    _, sk = keypairs[params.level]
+    calls = []
+    real = sparse.decompose
+
+    def counted(r, alpha):
+        calls.append(np.shape(r))
+        return real(r, alpha)
+
+    monkeypatch.setattr(sparse, "decompose", counted)
+    tr = SignTrace()
+    for i in range(3):
+        scheme.sign(params, sk, b"no decompose %d" % i, backend=backend, trace=tr)
+    assert sum("r0" in checks for checks in tr.iterations) > 3
+    assert calls == []
+
+
+def test_accepted_r0_max_is_lowbits_of_w_minus_cs2(keypairs, params):
+    # w - c*s2 = A*z - c*t, rebuilt from the signature and both keys
+    pk, sk = keypairs[params.level]
+    rho, t1, _ = codec.pk_decode(pk, params)
+    t = (t1.astype(np.int64) << D) + codec.sk_decode_extended(sk, params).t0_ext[:, N:]
+    a64 = expand_a(rho, params).coeffs.astype(np.int64)
+    t_hat = ntt_values(t)
+    for i in range(4):
+        tr = SignTrace()
+        sig = scheme.sign(params, sk, b"r0 max %d" % i, trace=tr)
+        c_tilde, z, _ = codec.sig_decode(sig, params)
+        c_hat = ntt_values(sample_in_ball(c_tilde, params.tau))
+        w_cs2 = intt_values(((a64 * ntt_values(z)).sum(axis=1) - c_hat * t_hat) % Q)
+        r0 = rounding.decompose(w_cs2, params.alpha)[1]
+        assert tr.accepted_r0_max == int(np.abs(r0).max()) < params.gamma2 - params.beta
+
+
 def test_t1_table_is_centered_t1_times_2d():
     t = np.arange(1 << 10)
     assert np.array_equal(scheme._T1_SHIFTED, ring.center(t << D))
