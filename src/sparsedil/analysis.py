@@ -28,17 +28,13 @@ class CoeffDistribution:
 
 
 def exact_sum_distribution(eta: int, tau: int) -> CoeffDistribution:
-    """Distribution of a sum of tau uniforms on [-eta, eta], by convolution."""
+    """Distribution of a sum of tau uniforms on [-eta, eta], by exact convolution."""
     if eta < 1 or tau < 1:
         raise ValueError("eta and tau must be positive")
-    base = [1] * (2 * eta + 1)
-    counts = base[:]
+    # np.convolve over an object array adds Python ints: exact at any size
+    base = counts = np.ones(2 * eta + 1, dtype=object)
     for _ in range(tau - 1):
-        new = [0] * (len(counts) + 2 * eta)
-        for i, c in enumerate(counts):
-            for j in range(2 * eta + 1):
-                new[i + j] += c
-        counts = new
+        counts = np.convolve(counts, base)
     return CoeffDistribution(offset=-tau * eta, counts=tuple(counts))
 
 
@@ -89,9 +85,6 @@ class OverflowReport:
     direct form; new estimates should use the stable one.
     """
 
-    eta: int
-    tau: int
-    magnitude: int
     per_coeff_fraction: Fraction
     per_coeff: float
     per_poly_direct: float
@@ -110,8 +103,7 @@ def overflow_report(eta: int, tau: int, magnitude: int = 128,
     dist = exact_sum_distribution(eta, tau)
     frac = tail_fraction(dist, magnitude - 1)
     p = float(frac)
-    report = OverflowReport(
-        eta=eta, tau=tau, magnitude=magnitude,
+    return OverflowReport(
         per_coeff_fraction=frac,
         per_coeff=p,
         per_poly_direct=1.0 - (1.0 - p) ** 256,
@@ -119,4 +111,3 @@ def overflow_report(eta: int, tau: int, magnitude: int = 128,
         per_vector_stable=(signature_failure_probability(p, 256 * vector_len)
                            if vector_len else None),
     )
-    return report

@@ -59,14 +59,16 @@ def _measure(procedure: str, backend: Backend, iterations: int, call):
     return row, results
 
 
-def run_bench(level: int, backends=None, iterations: int = 10000) -> list[BenchRow]:
+def run_bench(level: int, backends=None, *, iterations: int) -> list[BenchRow]:
     """Measure keygen/sign/verify for each backend at one security level."""
     params = param_set(level)
     if backends is None:
         backends = list(Backend)
+    # a Backend, its value, or the CLI's spelling of it ("sparse-fused")
+    backends = [Backend(b.replace("-", "_") if isinstance(b, str) else b) for b in backends]
     rows = []
     messages = [b"bench message" + i.to_bytes(4, "little") for i in range(WARMUP + iterations)]
-    for bi, backend in enumerate(scheme._coerce_backend(b) for b in backends):
+    for bi, backend in enumerate(backends):
         pk, sk = scheme.keygen(params, bytes(32))
         # seeds stay unique across backend rows so the matrix expansion
         # cache cannot flatter repeated runs

@@ -74,17 +74,11 @@ class Backend(enum.Enum):
 def default_backend(level: int) -> Backend:
     """The backend `sign` uses when none is given: sparse_fused at every level.
 
-    Its lane products are exact at every level (int16 lanes at level 3). One
-    backend sweep (sign-resident, seed 7, --trace 1, 2-core Xeon) signed in
-    1.76/2.39/2.19 ms at L2/L3/L5; sparse 1.74/2.42/2.25, ntt 2.33/2.99/2.77.
+    Its lane products are exact at every level (int16 lanes at level 3), and
+    the benchmark's backend sweep picks it: the `backend.*.sign_ms.lN`
+    records of the newest `BENCH_*.json` hold the measured times.
     """
     return Backend.SPARSE_FUSED
-
-
-def _coerce_backend(backend) -> Backend:
-    if isinstance(backend, Backend):
-        return backend
-    return Backend(str(backend).replace("-", "_"))
 
 
 @dataclass
@@ -121,10 +115,11 @@ def sign(params: ParameterSet, sk: bytes, message: bytes,
          trace: SignTrace | None = None) -> bytes:
     """Produce a signature; loops internally until an attempt is accepted.
 
-    Raises SigningAttemptsExceeded, and returns nothing, if MAX_SIGN_ATTEMPTS
-    attempts all fail; with a valid key the odds are below 2**-300.
+    `backend` is a Backend or its value. Raises SigningAttemptsExceeded, and
+    returns nothing, if MAX_SIGN_ATTEMPTS attempts all fail; with a valid
+    key the odds are below 2**-300.
     """
-    backend = _coerce_backend(backend if backend is not None else default_backend(params.level))
+    backend = default_backend(params.level) if backend is None else Backend(backend)
     dec = codec.sk_decode_extended(sk, params)
     if trace is not None:
         trace.decode_calls += 1

@@ -90,18 +90,17 @@ def extend_secret(s, eta: int) -> np.ndarray:
     return np.concatenate((-s, s), axis=-1)
 
 
-def sparse_mul_indexed(c, a) -> Poly:
+def sparse_mul_indexed(c, a: Poly) -> Poly:
     """Exact c*a in R_q by shifted accumulation into 2n cells, then folding.
 
     The mid-level oracle: same index-driven access pattern as the
     production kernel, but full-width arithmetic and an explicit
-    u_i = w_i - w_{i+n} (mod q) fold.
+    u_i = w_i - w_{i+n} (mod q) fold. `a` is a standard-domain Poly.
     """
     cv = np.asarray(c, dtype=np.int64)
-    a_coeffs = getattr(a, "coeffs", a)
-    if getattr(a, "domain", Domain.STANDARD) != Domain.STANDARD:
+    if a.domain != Domain.STANDARD:
         raise ValueError("sparse_mul_indexed expects a standard-domain polynomial")
-    av = np.asarray(a_coeffs, dtype=np.int64)
+    av = np.asarray(a.coeffs, dtype=np.int64)
     if np.any((cv < -1) | (cv > 1)):
         raise ValueError("challenge coefficients must lie in {-1, 0, 1}")
     w = np.zeros(2 * N, dtype=np.int64)
@@ -173,7 +172,7 @@ class FusedZ(NamedTuple):
 
 class FusedR0(NamedTuple):
     ok: bool
-    cs2: np.ndarray        # (m, 256) int64
+    cs2: np.ndarray        # (m, 256) in the product's lanes: int8/int16, int64 on ntt
     blocks: int
 
 
@@ -191,12 +190,13 @@ def r0_check(w, prod: np.ndarray, gamma2: int, bound: int) -> FusedR0:
     either w in [0, q) or its centered LowBits(w), which the signer already
     has. LowBits is the identity on [-gamma2, gamma2] (mod q), so when one
     min/max shows `w` lies there it is used as it is, not decomposed again.
+    The product is returned as given, in its own lanes, not copied.
     """
     w = np.asarray(w, dtype=np.int64)
     if w.min() < -gamma2 or w.max() > gamma2:
         w = decompose(w, 2 * gamma2)[1]
     ok = bool(np.abs(w - prod).max() < bound)
-    return FusedR0(ok, prod.astype(np.int64, copy=False), w.shape[0] * _BLOCKS_PER_POLY)
+    return FusedR0(ok, prod, w.shape[0] * _BLOCKS_PER_POLY)
 
 
 def fused_z(index, ext_s1: np.ndarray, y: np.ndarray, bound: int) -> FusedZ:
@@ -212,7 +212,7 @@ def fused_r0(index, ext_s2: np.ndarray, w: np.ndarray, gamma2: int, bound: int) 
     """The r0 check, |LowBits(w) - c*s2| < bound, fused onto the product c*s2.
 
     One gather over all rows, then one check on the whole vector; c*s2 is
-    returned for the later hint computation. `w` is w or LowBits(w), as
-    for `r0_check`.
+    returned in the rows' dtype for the later hint computation. `w` is w
+    or LowBits(w), as for `r0_check`.
     """
     return r0_check(w, _gather_product(index, ext_s2), gamma2, bound)

@@ -24,6 +24,26 @@ def test_two_draw_convolution_by_hand():
     assert Fraction(d.counts[0 - d.offset], d.total) == Fraction(3, 9)
 
 
+def _three_loop_counts(eta, tau):
+    """The plain convolution of tau uniforms on [-eta, eta]: the counts' oracle."""
+    counts = [1] * (2 * eta + 1)
+    for _ in range(tau - 1):
+        new = [0] * (len(counts) + 2 * eta)
+        for i, c in enumerate(counts):
+            for j in range(2 * eta + 1):
+                new[i + j] += c
+        counts = new
+    return tuple(counts)
+
+
+@pytest.mark.parametrize("eta, tau", [(1, 1), (1, 2), (2, 39), (4, 49), (2, 60)])
+def test_counts_match_the_three_loop_convolution(eta, tau):
+    d = analysis.exact_sum_distribution(eta, tau)
+    assert d.counts == _three_loop_counts(eta, tau)
+    # Python ints, not fixed-width integers, so the counts cannot overflow
+    assert all(type(c) is int for c in d.counts)
+
+
 def test_mass_conservation_and_symmetry():
     for eta, tau in ((2, 39), (4, 49), (2, 60)):
         d = analysis.exact_sum_distribution(eta, tau)

@@ -1,9 +1,15 @@
-"""Every public top-level function and class has a caller outside the tests.
+"""Every public top-level function and class has a caller outside the tests,
+and no package module reads another one's private names.
 
 A name counts as used when a code token (not a string, a comment or an
 import) names it somewhere in `src/`, `demos/` or `perfbench/`, other than
 its own `def` or `class` line. An API that only tests call belongs in the
 test that needs it, as an oracle.
+
+A private name (`_name`, not a dunder) belongs to its module: a token run
+`other . _name` in `src/sparsedil/`, where `other` is another module of the
+package, fails the second test. Tests, demos and perfbench may reach into
+internals on purpose and are not scanned.
 """
 
 import ast
@@ -52,3 +58,22 @@ def test_every_public_name_has_a_caller_outside_tests():
     assert uncalled - UNCALLED.keys() == set(), "public names only tests call"
     # an exception whose name gained a caller or was deleted is stale
     assert UNCALLED.keys() - uncalled == set()
+
+
+def _private_reads(path: Path):
+    """(line, "module._name") of each read of another package module's private name."""
+    others = {p.stem for p in PACKAGE.glob("*.py")} - {path.stem}
+    toks = [tok for tok in tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
+            if tok.type not in (tokenize.NL, tokenize.COMMENT)]
+    for before, mod, dot, name in zip([None] + toks, toks, toks[1:], toks[2:]):
+        if (mod.type == tokenize.NAME and mod.string in others and dot.string == "."
+                and (before is None or before.string != ".")    # not an attribute chain
+                and name.type == tokenize.NAME and name.string.startswith("_")
+                and not name.string.startswith("__")):
+            yield mod.start[0], f"{mod.string}.{name.string}"
+
+
+def test_no_module_reads_another_modules_private_names():
+    reads = {f"{path.stem}:{line}": read for path in sorted(PACKAGE.glob("*.py"))
+             for line, read in _private_reads(path)}
+    assert reads == {}

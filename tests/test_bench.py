@@ -32,6 +32,17 @@ def test_run_bench_backend_selection():
     assert bench.run_bench(2, backends=[], iterations=1) == []
 
 
+def test_run_bench_parses_backend_text():
+    # the CLI's hyphen spelling, the value and the member all select one backend
+    for backend in ("sparse-fused", "sparse_fused", Backend.SPARSE_FUSED):
+        rows = bench.run_bench(2, backends=[backend], iterations=1)
+        assert [r.backend for r in rows] == ["sparse_fused"] * 3
+    with pytest.raises(ValueError):
+        bench.run_bench(2, backends=["fft"], iterations=1)
+    with pytest.raises(TypeError):
+        bench.run_bench(2, [])        # the count has no default
+
+
 def test_parse_csv_rejects_wrong_field_count():
     text = bench.format_csv(bench.run_bench(2, backends=["sparse"], iterations=1))
     assert bench.parse_csv(text)[1].procedure == "sign"

@@ -486,13 +486,46 @@ def test_accepted_products_match_oracle(keypairs):
     assert np.array_equal(z - y, want_cs1)
 
 
-def test_backend_coercion_and_default():
+def test_backend_coercion_and_default(keypairs):
     assert scheme.default_backend(2) is Backend.SPARSE_FUSED
     assert scheme.default_backend(3) is Backend.SPARSE_FUSED
     assert scheme.default_backend(5) is Backend.SPARSE_FUSED
-    assert scheme._coerce_backend("sparse-fused") is Backend.SPARSE_FUSED
-    with pytest.raises(ValueError):
-        scheme._coerce_backend("fft")
+    # sign takes a Backend or its value; the CLI's "sparse-fused" is bench's to parse
+    p, (_, sk) = param_set(2), keypairs[2]
+    for text in ("fft", "sparse-fused"):
+        with pytest.raises(ValueError):
+            scheme.sign(p, sk, b"backend text", backend=text)
+    assert (scheme.sign(p, sk, b"backend text", backend="sparse_fused")
+            == scheme.sign(p, sk, b"backend text"))
+
+
+@pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.value)
+def test_r0_product_stays_in_its_lanes(keypairs, params, backend):
+    # worst case: tau aligned +1s over an all-eta s2 reach |c*s2| = beta
+    c = np.zeros(N, dtype=np.int8)
+    c[:params.tau] = 1
+    s = np.full((params.k, N), params.eta, dtype=np.int8)
+    sk = codec.sk_encode(bytes(32), bytes(32), bytes(32), s[:params.l], s,
+                         np.zeros((params.k, N), dtype=np.int64), params)
+    s2_ext = codec.sk_decode_extended(sk, params).s2_ext
+    want = scheme._ntt_cs(ntt_values(c), ntt_values(s))     # int64 through the NTT
+    assert want.dtype == np.int64 and want.max() == params.beta
+    w0 = np.zeros((params.k, N), dtype=np.int64)
+    gamma2, bound = params.gamma2, params.gamma2 - params.beta
+    if backend is Backend.NTT:
+        res, lanes = sparse.r0_check(w0, want, gamma2, bound), np.int64
+    else:
+        index = sparse.encode_challenge(c, params.tau)
+        res, lanes = sparse.fused_r0(index, s2_ext, w0, gamma2, bound), s2_ext.dtype
+        assert lanes == (np.int16 if params.level == 3 else np.int8)
+    assert res.ok and res.cs2.dtype == lanes and np.array_equal(res.cs2, want)
+    # the signer reads c*s2 in int64 on every backend: the ntt route's r0 max is everyone's
+    _, key = keypairs[params.level]
+    for i in range(2):
+        got, ref = SignTrace(), SignTrace()
+        scheme.sign(params, key, b"r0 lanes %d" % i, backend=backend, trace=got)
+        scheme.sign(params, key, b"r0 lanes %d" % i, backend=Backend.NTT, trace=ref)
+        assert got.accepted_r0_max == ref.accepted_r0_max > 0
 
 
 def test_exported_names_exist():
