@@ -7,8 +7,10 @@ time with DecodeError so verification can fail closed. Both bit-field
 kernels work on groups of g = 8/gcd(width, 8) fields, which fill g*width/8
 whole bytes. `pack_bits` pairs neighbouring fields into fields of twice the
 width while they fit a uint64, then ORs what is left of each group into
-little-endian words. `unpack_bits` reads every field from the 4-byte
-little-endian word at its byte offset, then shifts and masks.
+little-endian words. Every unpacker reads each field from the 4-byte
+little-endian word at its byte offset, then shifts and masks, in uint32:
+`unpack_bits` widens the fields to int64, while the object decoders keep
+them 32 bits wide (z, t0, t1 and the secrets all fit int32).
 
 The private-key decoder deviates from the classic in-memory shape on
 purpose: s1, s2 and t0 come back already widened to the 512-entry (-v, v)
@@ -73,8 +75,8 @@ def _field_pattern(width: int):
     return g, g * width // 8, bits >> 3, (bits & 7).astype(np.uint32)
 
 
-def unpack_bits(data, width: int, count: int) -> np.ndarray:
-    """The first `count` fields of `width` <= 25 bits, int64.
+def _fields(data, width: int, count: int) -> np.ndarray:
+    """The first `count` fields of `width` <= 25 bits, as a fresh int32 array.
 
     Each field is cut from the 4-byte little-endian word that starts at its
     first byte: a field starts at most 7 bits into that byte, so 25 bits
@@ -92,7 +94,12 @@ def unpack_bits(data, width: int, count: int) -> np.ndarray:
     buf = bytes(data[:size]) + bytes(groups * step + 3 - size)
     words = np.ndarray((groups, step), dtype="<u4", buffer=buf, strides=(step, 1))
     fields = (words[:, offsets] >> shifts) & np.uint32((1 << width) - 1)
-    return fields.reshape(-1)[:count].astype(np.int64)
+    return fields.reshape(-1)[:count].view(np.int32)
+
+
+def unpack_bits(data, width: int, count: int) -> np.ndarray:
+    """The first `count` fields of `width` <= 25 bits, int64."""
+    return _fields(data, width, count).astype(np.int64)
 
 
 def _check_range(values: np.ndarray, lo: int, hi: int, what: str) -> None:
@@ -110,7 +117,7 @@ def pack_t1(t1) -> bytes:
 
 
 def unpack_t1(data: bytes, m: int) -> np.ndarray:
-    return unpack_bits(data, 10, m * N).reshape(m, N)
+    return _fields(data, 10, m * N).reshape(m, N)
 
 
 def pack_t0(t0) -> bytes:
@@ -121,7 +128,8 @@ def pack_t0(t0) -> bytes:
 
 
 def unpack_t0(data: bytes, m: int) -> np.ndarray:
-    return ((1 << (D - 1)) - unpack_bits(data, D, m * N)).reshape(m, N)
+    t0 = _fields(data, D, m * N)
+    return np.subtract(1 << (D - 1), t0, out=t0).reshape(m, N)
 
 
 def _eta_width(eta: int) -> int:
@@ -135,10 +143,10 @@ def pack_eta(s, eta: int) -> bytes:
 
 
 def unpack_eta(data: bytes, m: int, eta: int) -> np.ndarray:
-    fields = unpack_bits(data, _eta_width(eta), m * N)
-    if fields.max(initial=0) > 2 * eta:     # eta - field < -eta; fields are >= 0
+    s = _fields(data, _eta_width(eta), m * N)
+    if s.max(initial=0) > 2 * eta:          # eta - field < -eta; fields are >= 0
         raise DecodeError("secret field out of range")
-    return (eta - fields).reshape(m, N)
+    return np.subtract(eta, s, out=s).reshape(m, N)
 
 
 def _z_width(params: ParameterSet) -> int:
@@ -152,9 +160,10 @@ def pack_z(z, params: ParameterSet) -> bytes:
 
 
 def unpack_z(data: bytes, params: ParameterSet) -> np.ndarray:
+    """gamma1 - field for every z field in `data`, int32 (masks and z both fit it)."""
     width = _z_width(params)
-    count = len(data) * 8 // width
-    return params.gamma1 - unpack_bits(data, width, count)
+    z = _fields(data, width, len(data) * 8 // width)
+    return np.subtract(params.gamma1, z, out=z)
 
 
 def pack_w1(w1, params: ParameterSet) -> bytes:

@@ -24,13 +24,19 @@ def decompose(r, alpha: int):
 
     Rounds half down: r1 = ceil((r - alpha/2) / alpha). The q-1 boundary is
     folded down: when r1 == (q-1)/alpha the high part wraps to 0 and r0 is
-    decremented, keeping r1 in [0, (q-1)/alpha).
+    decremented, keeping r1 in [0, (q-1)/alpha). An array folds in place:
+    a boolean assignment zeroes r1 there and r0 subtracts the mask; a 0-d
+    input, whose parts are numpy scalars, folds through np.where.
     """
     r = np.asarray(r, dtype=np.int64)
     r1 = (r + (alpha // 2 - 1)) // alpha
     r0 = r - r1 * alpha
     top = r1 == (Q - 1) // alpha
-    return np.where(top, 0, r1), r0 - top
+    if r.ndim == 0:
+        return np.where(top, 0, r1), r0 - top
+    r1[top] = 0
+    r0 -= top
+    return r1, r0
 
 
 def highbits(r, alpha: int):

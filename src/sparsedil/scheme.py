@@ -21,17 +21,21 @@ The r0 check is |LowBits(w) - c*s2| < gamma2 - beta, exact as |c*s2| <= beta;
 every backend passes it the LowBits(w) that the w1 decomposition left.
 
 Attempts run in speculative blocks of SIGN_BLOCK. Attempts are independent
-until their checks run, so a block draws all its masks, computes every
-w = A*y as keygen and verify do, `intt_values(matvec_hat(A, ntt_values(y)))`,
-and packs every w1 at once. The hash, the challenge and the checks then run
-one attempt at a time in kappa order, and the first attempt that passes is
-signed: the output is the sequential signer's, and a trace lists only the
-attempts up to the accepted one. Masks are drawn last attempt first, so a
-block's last `expand_mask` call, its first `decompose` call and the
-`sample_in_ball` call after that all belong to one attempt (the
-benchmark's tracer pairs them up as one attempt's kernel inputs).
+until their checks run, so a block draws all its masks into one int32
+array, computes every w = A*y as keygen and verify do,
+`intt_values(matvec_hat(A, ntt_values(y)))`, and packs every w1 at once.
+The hash, the challenge and the checks then run one attempt at a time in
+kappa order, and the first attempt that passes is signed: the output is
+the sequential signer's, and a trace lists only the attempts up to the
+accepted one. The loop calls its backend's two checks directly, computes
+c*t0 only once both pass, and enters a counting scope only when a trace is
+given. Masks are drawn last attempt first, so a block's last `expand_mask`
+call, its first `decompose` call and the `sample_in_ball` call after that
+all belong to one attempt (the benchmark's tracer pairs them up as one
+attempt's kernel inputs).
 """
 
+import contextlib
 import enum
 import os
 from dataclasses import dataclass, field
@@ -129,49 +133,58 @@ def sign(params: ParameterSet, sk: bytes, message: bytes,
     rho_pp = os.urandom(64) if randomized else shake256(dec.key + mu, 64)
 
     # per-call precomputation; restarts reuse all of it untouched
-    if backend is Backend.NTT:
+    ntt = backend is Backend.NTT
+    if ntt:
         s1_hat, s2_hat, t0_hat = (ntt_values(ext[:, N:])
                                   for ext in (dec.s1_ext, dec.s2_ext, dec.t0_ext))
 
-    gamma2, alpha = params.gamma2, params.alpha
+    gamma2, alpha, tau = params.gamma2, params.alpha, params.tau
     z_bound, r0_bound = params.gamma1 - params.beta, gamma2 - params.beta
-    for y, w, w0, w1_packed in _speculative_attempts(params, a_hat, rho_pp):
-        checks: list[str] = []
-        if trace is not None:
-            trace.iterations.append(checks)
-        c_tilde = shake256(mu + w1_packed, 32)
-        c = sample_in_ball(c_tilde, params.tau)
-        if backend is Backend.NTT:
-            c_hat = ntt_values(c)
-            run = {"z": lambda: z_check(y, _ntt_cs(c_hat, s1_hat), z_bound),
-                   "r0": lambda: r0_check(w0, _ntt_cs(c_hat, s2_hat), gamma2, r0_bound),
-                   "ct0": lambda: _ntt_cs(c_hat, t0_hat)}
-        else:
-            index = encode_challenge(c, params.tau)
-            run = {"z": lambda: fused_z(index, dec.s1_ext, y, z_bound),
-                   "r0": lambda: fused_r0(index, dec.s2_ext, w0, gamma2, r0_bound),
-                   "ct0": lambda: sparse_mul_branchless_vec(index, dec.t0_ext, params.tau)}
+    with instrumentation.counting() if trace is not None else contextlib.nullcontext() as cn:
+        for y, w, w0, w1_packed in _speculative_attempts(params, a_hat, rho_pp):
+            checks: list[str] = []
+            if trace is not None:
+                trace.iterations.append(checks)
+            c_tilde = shake256(mu + w1_packed, 32)
+            c = sample_in_ball(c_tilde, tau)
+            if ntt:
+                c_hat = ntt_values(c)
+            else:
+                index = encode_challenge(c, tau)
 
-        done = {}
-        for check in _CHECK_ORDER[backend]:
-            checks.append(check)
-            done[check] = _charged(trace, check, run[check])
-            if not done[check].ok:
-                break
-        else:
-            z, cs2, ct0 = done["z"].z, done["r0"].cs2, run["ct0"]()
-            h = make_hint(-ct0, (w - cs2 + ct0) % Q, alpha)
-            checks.append("ct0")
-            if not norm_inf_exceeds(ct0, gamma2):
-                checks.append("hint")
-                if hint_weight(h) <= params.omega:
-                    if trace is not None:
-                        trace.accepted_z_max = int(np.max(np.abs(z)))
-                        trace.accepted_r0_max = int(np.max(np.abs(w0 - cs2)))
-                    return codec.sig_encode(c_tilde, z, h, params)
+            for check in _CHECK_ORDER[backend]:
+                checks.append(check)
+                spent = 0 if cn is None else cn.modmul
+                if check == "z":
+                    z = (z_check(y, _ntt_cs(c_hat, s1_hat), z_bound) if ntt
+                         else fused_z(index, dec.s1_ext, y, z_bound))
+                    ok = z.ok
+                else:
+                    r0 = (r0_check(w0, _ntt_cs(c_hat, s2_hat), gamma2, r0_bound) if ntt
+                          else fused_r0(index, dec.s2_ext, w0, gamma2, r0_bound))
+                    ok = r0.ok
+                if cn is not None:      # z owns the modmuls of c*s1, r0 those of c*s2
+                    if check == "z":
+                        trace.cs1_modmuls += cn.modmul - spent
+                    else:
+                        trace.cs2_modmuls += cn.modmul - spent
+                if not ok:
+                    break
+            else:
+                ct0 = (_ntt_cs(c_hat, t0_hat) if ntt
+                       else sparse_mul_branchless_vec(index, dec.t0_ext, tau))
+                h = make_hint(-ct0, (w - r0.cs2 + ct0) % Q, alpha)
+                checks.append("ct0")
+                if not norm_inf_exceeds(ct0, gamma2):
+                    checks.append("hint")
+                    if hint_weight(h) <= params.omega:
+                        if trace is not None:
+                            trace.accepted_z_max = int(np.max(np.abs(z.z)))
+                            trace.accepted_r0_max = int(np.max(np.abs(w0 - r0.cs2)))
+                        return codec.sig_encode(c_tilde, z.z, h, params)
 
-        if trace is not None:
-            trace.restarts += 1
+            if trace is not None:
+                trace.restarts += 1
     raise SigningAttemptsExceeded(f"no signature after {MAX_SIGN_ATTEMPTS} attempts")
 
 
@@ -179,28 +192,31 @@ def _speculative_attempts(params, a_hat, rho_pp):
     """Yield (y, w, w0, packed w1) of attempts 0 .. MAX_SIGN_ATTEMPTS-1 in kappa order.
 
     Each block of SIGN_BLOCK attempts is computed when its first attempt is
-    asked for: its masks (last attempt first), w = A*y for all of them in
-    one chain, (w1, w0) = Decompose(w) per attempt, and one packing of
-    their w1, sliced per attempt.
+    asked for: its masks, written last attempt first into one int32 block,
+    w = A*y for all of them in one chain, (w1, w0) = Decompose(w) per
+    attempt, and one packing of their w1, sliced per attempt.
     """
     for first in range(0, MAX_SIGN_ATTEMPTS, SIGN_BLOCK):
-        kappas = range(first, min(first + SIGN_BLOCK, MAX_SIGN_ATTEMPTS))
-        ys = np.stack([expand_mask(rho_pp, kappa * params.l, params).coeffs
-                       for kappa in reversed(kappas)][::-1])
+        ys = np.empty((min(SIGN_BLOCK, MAX_SIGN_ATTEMPTS - first), params.l, N), np.int32)
+        for i in reversed(range(len(ys))):
+            ys[i] = expand_mask(rho_pp, (first + i) * params.l, params).coeffs
         ws = intt_values(matvec_hat(a_hat, ntt_values(ys)))
         w1_bytes, w0s = _packed_high_low(ws, params)
-        size = len(w1_bytes) // len(kappas)
-        for i in range(len(kappas)):
+        size = len(w1_bytes) // len(ys)
+        for i in range(len(ys)):
             yield ys[i], ws[i], w0s[i], w1_bytes[i * size:(i + 1) * size]
 
 
 def _packed_high_low(ws, params):
     """Decompose each w of a block: all their w1 packed at once, and each w0.
 
-    Only the packed w1 outlives the call, not the unpacked w1 arrays.
+    Each w1 is written into one block array, which only the packing reads.
     """
-    parts = [decompose(w, params.alpha) for w in ws]
-    return codec.pack_w1(np.stack([w1 for w1, _ in parts]), params), [w0 for _, w0 in parts]
+    alpha, w1s, w0s = params.alpha, np.empty(ws.shape, np.int64), []
+    for w, w1 in zip(ws, w1s):
+        w1[...], w0 = decompose(w, alpha)
+        w0s.append(w0)
+    return codec.pack_w1(w1s, params), w0s
 
 
 _CHECK_ORDER = {
@@ -208,22 +224,6 @@ _CHECK_ORDER = {
     Backend.SPARSE: ("z", "r0"),
     Backend.SPARSE_FUSED: ("r0", "z"),
 }
-
-
-def _charged(trace, check, run):
-    """run(), charging its product multiplications to the trace: z owns c*s1, r0 c*s2.
-
-    Without a trace it is a plain call: no counting scope is entered.
-    """
-    if trace is None:
-        return run()
-    with instrumentation.counting() as cn:
-        out = run()
-    if check == "z":
-        trace.cs1_modmuls += cn.modmul
-    else:
-        trace.cs2_modmuls += cn.modmul
-    return out
 
 
 def _ntt_cs(c_hat, s_hat):

@@ -23,9 +23,10 @@ so the signing layout (`codec.signing_layout`) widens level-3 rows to
 int16, on which every partial sum is exact. The same kernel computes
 c*t0 on int32 rows: |t0| <= 2^12, so every sum is at most tau*2^12 <=
 245,760. The fused kernels gather c*s1 (or c*s2) for the whole vector at
-once and run the z (or r0) check on it; the signer runs one of them
-first, so an attempt that fails that check never computes the other
-product.
+once and run the z (or r0) check on it: z = y + c*s1 is one int64 add,
+and |LowBits(w) - c*s2| is taken in place on the difference. The signer
+runs one of them first, so an attempt that fails that check never
+computes the other product.
 """
 
 from typing import NamedTuple
@@ -61,8 +62,8 @@ def encode_challenge(c, tau: int) -> np.ndarray:
     c = np.asarray(c)
     if c.shape != (N,):
         raise ValueError(f"challenge must have {N} coefficients")
-    pos = np.flatnonzero(c == 1)
-    neg = np.flatnonzero(c == -1)
+    pos, = (c == 1).nonzero()
+    neg, = (c == -1).nonzero()
     if np.count_nonzero(c) != len(pos) + len(neg):
         raise ValueError("challenge coefficients must lie in {-1, 0, 1}")
     if len(pos) + len(neg) != tau:
@@ -177,8 +178,8 @@ class FusedR0(NamedTuple):
 
 
 def z_check(y, prod: np.ndarray, bound: int) -> FusedZ:
-    """z = y + c*s1 for a whole vector, rejected if any |z_i| >= bound."""
-    z = np.asarray(y, dtype=np.int64) + prod
+    """z = y + c*s1 for a whole vector, int64; rejected if any |z_i| >= bound."""
+    z = np.add(y, prod, dtype=np.int64)
     return FusedZ(z, bool(np.abs(z).max() >= bound), z.shape[0] * _BLOCKS_PER_POLY)
 
 
@@ -195,7 +196,8 @@ def r0_check(w, prod: np.ndarray, gamma2: int, bound: int) -> FusedR0:
     w = np.asarray(w, dtype=np.int64)
     if w.min() < -gamma2 or w.max() > gamma2:
         w = decompose(w, 2 * gamma2)[1]
-    ok = bool(np.abs(w - prod).max() < bound)
+    diff = w - prod
+    ok = bool(np.abs(diff, out=diff).max() < bound)
     return FusedR0(ok, prod, w.shape[0] * _BLOCKS_PER_POLY)
 
 

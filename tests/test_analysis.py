@@ -117,8 +117,10 @@ def test_monte_carlo_deterministic():
     a = analysis.monte_carlo_overflow(2, 39, 60, 50000, seed=123)
     b = analysis.monte_carlo_overflow(2, 39, 60, 50000, seed=123)
     assert a == b
-    c = analysis.monte_carlo_overflow(2, 39, 60, 50000, seed=124)
-    assert a != c or True     # different seed may coincide; only determinism is asserted
+    # at bound 20 about 2% of sums exceed it: three seeds agreeing on the count
+    # would mean the seed is ignored
+    counts = {analysis.monte_carlo_overflow(2, 39, 20, 50000, seed=s) for s in (123, 124, 125)}
+    assert len(counts) > 1
 
 
 def test_monte_carlo_no_exceedances_at_wrap_bound():

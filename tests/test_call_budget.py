@@ -1,0 +1,53 @@
+"""A ratchet on the Python calls one signature makes into the package.
+
+Signing is pure Python over small numpy arrays, so the number of calls sets
+much of its cost. This counts, with `sys.setprofile`, every call into a
+frame of a `sparsedil` source file while one resident key per level signs
+fixed messages with the default backend. Only package frames are counted,
+so a numpy or Python upgrade cannot move the count; numpy's own Python
+helpers (`np.stack`, `np.flatnonzero`) are not counted, although they cost
+time too.
+
+The budgets are the counts measured when this test was written, after a
+warm-up signature so that the per-key caches hit. A change that lowers a
+count should lower its budget with it.
+"""
+
+import os
+import sys
+
+import sparsedil
+from sparsedil import scheme
+from sparsedil.params import LEVELS, param_set
+
+MESSAGES = 16
+BUDGET = {2: 4276, 3: 4149, 5: 3584}    # package calls for MESSAGES signatures
+
+
+def _package_calls(fn) -> int:
+    package = os.path.dirname(os.path.abspath(sparsedil.__file__)) + os.sep
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+def test_signing_stays_within_its_call_budget(keypairs):
+    counts = {}
+    for lv in LEVELS:
+        p = param_set(lv)
+        _, sk = keypairs[lv]
+        scheme.sign(p, sk, b"call budget warm-up")
+        counts[lv] = _package_calls(
+            lambda: [scheme.sign(p, sk, b"call budget %d" % i) for i in range(MESSAGES)])
+    # a count of 0 would mean the filter missed the package's frames
+    assert all(0 < counts[lv] <= BUDGET[lv] for lv in LEVELS), (counts, BUDGET)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from sparsedil import codec, scheme, sparse
 from sparsedil.keccak import shake256
@@ -96,6 +97,17 @@ def test_unpack_bits_partial_groups_and_buffer_types(width):
         if size:
             with pytest.raises(codec.DecodeError, match="too short"):
                 codec.unpack_bits(data[:-1], width, count)
+
+
+@pytest.mark.parametrize("level", [2, 3])                  # z fields of 18 and 20 bits
+@given(data=st.binary(max_size=3 * 640))
+def test_unpack_z_is_gamma1_minus_the_fields_in_int32(level, data):
+    # masks and signature z come from the shared uint32 fields, subtracted in int32
+    p = param_set(level)
+    width = p.gamma1.bit_length()
+    got = codec.unpack_z(data, p)
+    assert got.dtype == np.int32
+    assert np.array_equal(got, p.gamma1 - codec.unpack_bits(data, width, len(data) * 8 // width))
 
 
 def test_unpack_bits_rejects_fields_wider_than_25_bits():
@@ -369,7 +381,7 @@ def _assert_same_decode(data, p):
     return want
 
 
-@pytest.mark.parametrize("width", range(1, 25))
+@pytest.mark.parametrize("width", range(1, 26))
 def test_pack_bits_matches_bit_spreading_oracle(width):
     rng = np.random.default_rng(100 + width)
     group = 8 // np.gcd(width, 8)

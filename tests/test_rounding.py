@@ -128,13 +128,33 @@ def _bit_trick_decompose(r, alpha):
 
 
 def test_decompose_matches_bit_trick_oracle_exhaustively():
+    # every r in [0, q), as 1-d chunks and as the (rows, 256) stacks the signer passes
     chunk = 1 << 21
     for alpha in ALPHAS:
         for start in range(0, Q, chunk):
             r = np.arange(start, min(start + chunk, Q), dtype=np.int64)
             w1, w0 = _bit_trick_decompose(r, alpha)
-            m1, m0 = decompose(r, alpha)
-            assert np.array_equal(w1, m1) and np.array_equal(w0, m0), (alpha, start)
+            for shape in ((-1,), (-1, 256) if r.size % 256 == 0 else (-1, r.size)):
+                m1, m0 = decompose(r.reshape(shape), alpha)
+                assert m1.shape == m0.shape == r.reshape(shape).shape
+                assert np.array_equal(w1, m1.reshape(-1)) and np.array_equal(w0, m0.reshape(-1)), (
+                    alpha, start, shape)
+
+
+def test_decompose_of_a_scalar_matches_the_oracle():
+    # 0-d input folds through np.where: both sides of every rounding boundary,
+    # the q-1 fold among them, the ends of [0, q) and a seeded sample
+    rng = np.random.default_rng(5)
+    for alpha in ALPHAS:
+        edges = np.arange(0, Q + alpha, alpha) + alpha // 2
+        r = np.concatenate((edges - 1, edges, edges + 1, [0, 1, Q - 2, Q - 1],
+                            rng.integers(0, Q, 2000)))
+        r = r[r < Q]
+        w1, w0 = _bit_trick_decompose(r, alpha)
+        for x, a1, a0 in zip(r.tolist(), w1.tolist(), w0.tolist()):
+            for given in (x, np.int64(x), np.array(x)):
+                m1, m0 = decompose(given, alpha)
+                assert np.ndim(m1) == np.ndim(m0) == 0 and (int(m1), int(m0)) == (a1, a0), (alpha, x)
 
 
 def test_r0_check_matches_lowbits_of_difference_exhaustively():

@@ -376,6 +376,50 @@ def test_check_order_per_backend(keypairs):
         assert accepted[2:] == ["ct0", "hint"]
 
 
+# The SignTrace of four pinned signatures per level (the session key of each
+# level, messages b"trace 0" .. b"trace 3"): how the loop runs its checks may
+# change, these fields may not. Per message: the checks of each attempt in
+# z-first order ("/" between attempts), restarts, the ntt backend's c*s1 and
+# c*s2 modmuls, and the accepted |z| and |LowBits(w) - c*s2| maxima.
+PINNED_TRACES = {
+    2: [("z+r0/z/z+r0+ct0+hint", 2, 18432, 12288, 130806, 94972),
+        ("z+r0+ct0+hint", 0, 6144, 6144, 130912, 94928),
+        ("z+r0/z+r0/z/z/z+r0/z+r0+ct0+hint", 5, 36864, 24576, 130991, 95142),
+        ("z+r0+ct0+hint", 0, 6144, 6144, 130735, 95032)],
+    3: [("z+r0+ct0+hint", 0, 7680, 9216, 523275, 261666),
+        ("z+r0+ct0+hint", 0, 7680, 9216, 523684, 261502),
+        ("z/z/z/z/z+r0+ct0+hint", 4, 38400, 9216, 523744, 261513),
+        ("z+r0/z+r0/z/z/z+r0/z+r0/z+r0+ct0+hint", 6, 53760, 46080, 524088, 261327)],
+    5: [("z+r0+ct0+hint", 0, 10752, 12288, 524054, 261551),
+        ("z+r0/z/z+r0/z+r0/z/z/z/z+r0+ct0+hint", 7, 86016, 49152, 523994, 261615),
+        ("z/z+r0/z/z+r0+ct0+hint", 3, 43008, 24576, 524042, 261719),
+        ("z+r0/z+r0+ct0+hint", 1, 21504, 24576, 523987, 261681)],
+}
+# sparse_fused runs r0 first; the same attempts then record these checks
+PINNED_R0_FIRST = {
+    2: ["r0/r0/r0+z+ct0+hint", "r0+z+ct0+hint", "r0/r0/r0/r0/r0/r0+z+ct0+hint", "r0+z+ct0+hint"],
+    3: ["r0+z+ct0+hint", "r0+z+ct0+hint", "r0/r0+z/r0+z/r0+z/r0+z+ct0+hint",
+        "r0/r0/r0/r0/r0/r0/r0+z+ct0+hint"],
+    5: ["r0+z+ct0+hint", "r0/r0/r0/r0/r0/r0/r0/r0+z+ct0+hint", "r0/r0/r0/r0+z+ct0+hint",
+        "r0/r0+z+ct0+hint"],
+}
+
+
+@pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.value)
+def test_sign_trace_matches_pinned_fields(keypairs, params, backend):
+    _, sk = keypairs[params.level]
+    for i, (checks, restarts, cs1, cs2, z_max, r0_max) in enumerate(PINNED_TRACES[params.level]):
+        if backend is Backend.SPARSE_FUSED:
+            checks = PINNED_R0_FIRST[params.level][i]
+        if backend is not Backend.NTT:
+            cs1 = cs2 = 0
+        tr = SignTrace()
+        scheme.sign(params, sk, b"trace %d" % i, backend=backend, trace=tr)
+        assert "/".join("+".join(c) for c in tr.iterations) == checks, i
+        assert (tr.decode_calls, tr.restarts, tr.cs1_modmuls, tr.cs2_modmuls,
+                tr.accepted_z_max, tr.accepted_r0_max) == (1, restarts, cs1, cs2, z_max, r0_max), i
+
+
 def test_sparse_backends_use_no_modular_multiplications(keypairs, params):
     pk, sk = keypairs[params.level]
     for backend in (Backend.SPARSE, Backend.SPARSE_FUSED):
