@@ -20,13 +20,14 @@ the coefficient bound, so every signing product is exact: int8 for the
 secrets at levels 2 and 5, int16 at level 3, int32 for t0. Both key decoders
 are memoized per key like `expand_a`, with read-only results: up to 16
 decoded secret keys stay resident until evicted or `cache_clear()`. The
-public-key decoder also returns tr = H(pk, 32), so verifying under a
-resident key does not hash the key again.
+public-key decoder returns a `DecodedPublic` that also holds tr = H(pk, 32)
+and, after the first verify under the key, NTT(t1 * 2^d): verifying under a
+resident key neither hashes the key again nor transforms t1.
 """
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -215,14 +216,48 @@ def pk_encode(rho: bytes, t1, params: ParameterSet) -> bytes:
     return rho + pack_t1(t1)
 
 
+@dataclass(frozen=True)
+class DecodedPublic:
+    """Working form of a public key; arrays are read-only.
+
+    `t1_hat` starts empty and is filled once, by the first verify under the
+    key, with NTT(t1 * 2^d) as it came out of that verify's own transform.
+    It lives as long as the `pk_decode` cache entry that holds this object.
+    """
+
+    rho: bytes
+    t1: np.ndarray          # (k, 256) 10-bit fields, uint16
+    tr: bytes               # H(pk, 32)
+    _held: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @property
+    def t1_hat(self) -> np.ndarray | None:
+        """NTT(t1 * 2^d) as (k, 256) int32 in [0, q), or None until it is held."""
+        return self._held.get("t1_hat")
+
+    def hold_t1_hat(self, rows) -> np.ndarray:
+        """Keep `rows` = NTT(t1 * 2^d) unless rows are held already; return the held rows.
+
+        Write-once: if two verifies race, the first to store wins (the store
+        is one `dict.setdefault`), and both computed the same values.
+        """
+        rows = np.array(rows, dtype=np.int32)
+        rows.setflags(write=False)
+        return self._held.setdefault("t1_hat", rows)
+
+
 @_memoized_decoder
-def pk_decode(pk: bytes, params: ParameterSet) -> tuple[bytes, np.ndarray, bytes]:
-    """(rho, t1, tr): the seed, the 10-bit t1 fields and tr = H(pk, 32)."""
+def pk_decode(pk: bytes, params: ParameterSet) -> DecodedPublic:
+    """The seed rho, the 10-bit t1 fields and tr = H(pk, 32) of a public key.
+
+    Cached per key with `t1_hat` still empty; the first verify under the
+    key fills it, and `cache_clear()` or eviction drops it with the rest.
+    """
     if len(pk) != pk_size(params):
         raise DecodeError(f"public key must be {pk_size(params)} bytes, got {len(pk)}")
     t1 = unpack_t1(pk[32:], params.k).astype(np.uint16)   # 10-bit fields
     t1.setflags(write=False)
-    return pk[:32], t1, shake256(pk, 32)
+    return DecodedPublic(pk[:32], t1, shake256(pk, 32))
 
 
 # ---------------------------------------------------------------------------

@@ -37,8 +37,9 @@ Integer input that already lies in [-(q-1)/2, (q-1)/2] goes in as it is:
 int8 and int16 always do, int32 and int64 when one min/max says so (the
 challenge, the masks, the secrets and verify's rows). Other int64 is
 reduced mod q first, so any int64 is taken. Every other input (float64
-included) is centered with `_reduce`, which needs integer values below
-2^49 in magnitude. The bound stays (q-1)/2: an operand up to 2^23 would
+included) is centered with `_reduce` straight into a fresh float64 array,
+with no copy of the input first; it needs integer values below 2^49 in
+magnitude. The bound stays (q-1)/2: an operand up to 2^23 would
 raise the first-stage sums to 2^49, past the margin of a BLAS that loses a
 few low bits.
 
@@ -134,12 +135,15 @@ def _rows(a) -> int:
 
 
 def _reduce(x: np.ndarray) -> np.ndarray:
-    """x - q*rint(x/q) in place for integer float64 |x| < 2^49; centered, exact."""
+    """x - q*rint(x/q) for integer values |x| < 2^49; a fresh float64 array, centered, exact.
+
+    `x` (float64 or integer) is left as it is: the result is written over
+    the float64 quotient.
+    """
     t = x * _Q_INV
     np.rint(t, out=t)
     t *= Q
-    x -= t
-    return x
+    return np.subtract(x, t, out=t)
 
 
 def _to_residues(x: np.ndarray) -> np.ndarray:
@@ -192,7 +196,7 @@ def _centered(x: np.ndarray) -> np.ndarray:
         return x
     if x.dtype == np.int64:
         return center(x)
-    return _reduce(x.astype(np.float64))
+    return _reduce(x)
 
 
 def ntt_values(a) -> np.ndarray:

@@ -231,8 +231,9 @@ def _ntt_cs(c_hat, s_hat):
     return center(intt_values(ntt_product(c_hat, s_hat)))
 
 
-# t1 * 2^d, centered, for every 10-bit t1: verify's t1 rows enter the NTT as they are
-_T1_SHIFTED = center(np.arange(1 << 10) << D)
+# t1 * 2^d, centered, for every 10-bit t1: verify's t1 rows enter the NTT as
+# they are, int32 like z, so the rows verify transforms stay int32
+_T1_SHIFTED = center(np.arange(1 << 10) << D).astype(np.int32)
 _T1_SHIFTED.setflags(write=False)
 
 
@@ -242,22 +243,32 @@ def verify(params: ParameterSet, pk: bytes, message: bytes, sig: bytes) -> bool:
     Malformed `pk` or `sig` bytes make verify return False; it never raises
     on them. `message` must be bytes (or bytes-like): a str is a caller
     error and raises TypeError.
+
+    Each verify makes one `ntt_values` call. Under a key whose decoded form
+    already holds NTT(t1 * 2^d) it transforms the 1 + l rows of c and z;
+    otherwise it transforms c, z and t1 * 2^d together, 1 + l + k rows, and
+    stores the t1 rows in the decoded key for the verifies after it. Input
+    rejected before the transform stores nothing.
     """
     message = memoryview(message)          # a str raises TypeError here
     try:
-        rho, t1, tr = codec.pk_decode(pk, params)
-        mu = shake256(tr + message, 64)
+        pub = codec.pk_decode(pk, params)
+        mu = shake256(pub.tr + message, 64)
         c_tilde, z, h = codec.sig_decode(sig, params)
     except codec.DecodeError:
         return False
     if norm_inf_exceeds(z, params.gamma1 - params.beta):
         return False
-    A = expand_a(rho, params)
-    # c, t1 * 2^d and z, all centered
-    rows = np.concatenate((sample_in_ball(c_tilde, params.tau)[None], _T1_SHIFTED[t1], z))
-    rows_hat = ntt_values(rows)
-    c_hat, t1_hat, z_hat = rows_hat[0], rows_hat[1:1 + params.k], rows_hat[1 + params.k:]
+    A = expand_a(pub.rho, params)
+    c = sample_in_ball(c_tilde, params.tau)[None]
+    t1_hat = pub.t1_hat
+    if t1_hat is None:                     # c, z and t1 * 2^d, all centered
+        rows_hat = ntt_values(np.concatenate((c, z, _T1_SHIFTED[pub.t1])))
+        t1_hat = rows_hat[1 + params.l:]
+        pub.hold_t1_hat(t1_hat)            # an int32 copy; this verify uses its own rows
+    else:                                  # c and z
+        rows_hat = ntt_values(np.concatenate((c, z)))
+    c_hat, z_hat = rows_hat[0], rows_hat[1:1 + params.l]
     w_approx = intt_values(matvec_hat(A.coeffs, z_hat) - ntt_product(c_hat, t1_hat))
     w1 = use_hint(h, w_approx, params.alpha)
     return c_tilde == shake256(mu + codec.pack_w1(w1, params), 32)
-

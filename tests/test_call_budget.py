@@ -1,16 +1,16 @@
-"""A ratchet on the Python calls one signature makes into the package.
+"""A ratchet on the Python calls one signature, or one verify, makes into the package.
 
-Signing is pure Python over small numpy arrays, so the number of calls sets
-much of its cost. This counts, with `sys.setprofile`, every call into a
-frame of a `sparsedil` source file while one resident key per level signs
-fixed messages with the default backend. Only package frames are counted,
-so a numpy or Python upgrade cannot move the count; numpy's own Python
-helpers (`np.stack`, `np.flatnonzero`) are not counted, although they cost
-time too.
+Signing and verifying are pure Python over small numpy arrays, so the
+number of calls sets much of their cost. This counts, with `sys.setprofile`,
+every call into a frame of a `sparsedil` source file while one resident key
+per level signs fixed messages with the default backend, or verifies their
+signatures. Only package frames are counted, so a numpy or Python upgrade
+cannot move the count; numpy's own Python helpers (`np.stack`,
+`np.flatnonzero`) are not counted, although they cost time too.
 
 The budgets are the counts measured when this test was written, after a
-warm-up signature so that the per-key caches hit. A change that lowers a
-count should lower its budget with it.
+warm-up signature or verify so that the per-key caches hit. A change that
+lowers a count should lower its budget with it.
 """
 
 import os
@@ -22,6 +22,7 @@ from sparsedil.params import LEVELS, param_set
 
 MESSAGES = 16
 BUDGET = {2: 4276, 3: 4149, 5: 3584}    # package calls for MESSAGES signatures
+VERIFY_BUDGET = {2: 848, 3: 848, 5: 848}   # package calls for MESSAGES verifies
 
 
 def _package_calls(fn) -> int:
@@ -51,3 +52,15 @@ def test_signing_stays_within_its_call_budget(keypairs):
             lambda: [scheme.sign(p, sk, b"call budget %d" % i) for i in range(MESSAGES)])
     # a count of 0 would mean the filter missed the package's frames
     assert all(0 < counts[lv] <= BUDGET[lv] for lv in LEVELS), (counts, BUDGET)
+
+
+def test_verifying_under_a_resident_key_stays_within_its_call_budget(keypairs):
+    counts = {}
+    for lv in LEVELS:
+        p = param_set(lv)
+        pk, sk = keypairs[lv]
+        signed = [(b"call budget %d" % i, scheme.sign(p, sk, b"call budget %d" % i))
+                  for i in range(MESSAGES)]
+        assert scheme.verify(p, pk, *signed[0])    # the warm-up: the key is resident
+        counts[lv] = _package_calls(lambda: [scheme.verify(p, pk, *ms) for ms in signed])
+    assert all(0 < counts[lv] <= VERIFY_BUDGET[lv] for lv in LEVELS), (counts, VERIFY_BUDGET)

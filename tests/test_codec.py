@@ -178,8 +178,7 @@ def test_sk_decode_pipeline_identity(keypairs):
         t1, t0 = power2round(t)
         assert np.array_equal(dec.t0_ext[:, N:], t0)
         assert np.array_equal(dec.t0_ext[:, :N], -t0)
-        rho_pk, t1_pk, _ = codec.pk_decode(pk, p)
-        assert np.array_equal(t1_pk, t1)
+        assert np.array_equal(codec.pk_decode(pk, p).t1, t1)
 
 
 def test_sk_decode_returns_readonly_arrays(keypairs):
@@ -201,15 +200,16 @@ def test_key_decoders_return_one_cached_readonly_object(keypairs):
         p = param_set(lv)
         pk, sk = keypairs[lv]
         dec = codec.sk_decode_extended(sk, p)
-        rho, t1, tr = codec.pk_decode(pk, p)
+        pub = codec.pk_decode(pk, p)
+        t1 = pub.t1
         # any bytes-like key finds the same entry
         for key in (sk, bytearray(sk), memoryview(sk)):
             assert codec.sk_decode_extended(key, p) is dec
         for key in (pk, bytearray(pk), memoryview(pk)):
-            assert codec.pk_decode(key, p)[1] is t1
+            assert codec.pk_decode(key, p) is pub
         assert t1.dtype == np.uint16        # 10-bit fields, 2 bytes each
-        assert type(dec.rho) is type(rho) is bytes
-        assert tr == dec.tr                 # H(pk, 32), as keygen stored it in sk
+        assert type(dec.rho) is type(pub.rho) is bytes
+        assert pub.tr == dec.tr             # H(pk, 32), as keygen stored it in sk
         with pytest.raises(ValueError):
             t1[0, 0] = 1
 

@@ -231,6 +231,22 @@ def test_every_input_dtype_transforms_as_int64():
                 assert np.array_equal(got, _by_definition(ref, definition)), (x.dtype, fn)
 
 
+def test_transforms_leave_their_input_unchanged():
+    # inputs are never mutated: float64 sums such as matvec_hat's, and the
+    # uncentered int32 and int64 rows, are centered into fresh arrays
+    rng = np.random.default_rng(17)
+    a = rng.integers(0, Q, (2, 3, N))
+    inputs = [ring.matvec_hat(a.astype(np.float64), rng.integers(0, Q, (2, 3, N))),
+              rng.integers(-2**31, 2**31, (2, N)).astype(np.int32),
+              rng.integers(0, Q, (2, N)),
+              rng.integers(-2**40, 2**40, (2, N)).astype(np.float64)]
+    for x in inputs:
+        before = x.copy()
+        for fn in (ring.ntt_values, ring.intt_values):
+            fn(x)
+            assert np.array_equal(x, before), (x.dtype, fn)
+
+
 @pytest.mark.parametrize("i", [0, 1, 2, 127, 128, 200, 255])
 @pytest.mark.parametrize("m", [HALF, HALF - 1], ids=["half", "odd"])
 def test_worst_case_magnitude_is_exact(i, m):

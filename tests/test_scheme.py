@@ -44,7 +44,7 @@ def test_t_reconstruction(keypairs):
         p = param_set(lv)
         pk, sk = keypairs[lv]
         dec = codec.sk_decode_extended(sk, p)
-        _, t1, _ = codec.pk_decode(pk, p)
+        t1 = codec.pk_decode(pk, p).t1
         A = expand_a(dec.rho, p)
         s1 = dec.s1_ext[:, N:].astype(np.int64)
         s2 = dec.s2_ext[:, N:].astype(np.int64)
@@ -216,7 +216,133 @@ def test_verify_hashes_a_resident_key_once(keypairs, params):
             assert scheme.verify(params, pk, b"tr", sig)
         counts.append(cn.xof_bytes)
     assert counts[0] - counts[1] == 32
-    assert codec.pk_decode(pk, params)[2] == shake256(pk, 32)
+    assert codec.pk_decode(pk, params).tr == shake256(pk, 32)
+
+
+def _tampered(params, msg, sig, rng):
+    """Seeded single-byte flips of c_tilde, z, the hint section and the message."""
+    zend = 32 + params.l * codec.z_packed_bytes(params)
+    out = []
+    for lo, hi in ((0, 32), (32, zend), (zend, len(sig))):
+        bad = bytearray(sig)
+        bad[int(rng.integers(lo, hi))] ^= int(rng.integers(1, 256))
+        out.append((msg, bytes(bad)))
+    bad = bytearray(msg)
+    bad[int(rng.integers(len(msg)))] ^= int(rng.integers(1, 256))
+    return out + [(bytes(bad), sig)]
+
+
+def _verify_cases(params, sk, n, seed):
+    """n valid (message, signature) pairs, each followed by its four tampered ones."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for i in range(n):
+        msg = b"residency %d" % i
+        sig = scheme.sign(params, sk, msg)
+        cases += [(msg, sig)] + _tampered(params, msg, sig, rng)
+    return cases
+
+
+def _t1_hat(pk, params):
+    t1 = codec.pk_decode(pk, params).t1
+    return ntt_values(t1.astype(np.int64) << D)
+
+
+def test_verdicts_do_not_depend_on_key_residency(keypairs, params):
+    pk, sk = keypairs[params.level]
+    cases = _verify_cases(params, sk, 3, params.level)
+    expected = [True, False, False, False, False] * 3
+
+    codec.pk_decode.cache_clear()
+    assert scheme.verify(params, pk, *cases[0])             # the key now holds its rows
+    resident = [scheme.verify(params, pk, msg, sig) for msg, sig in cases]
+    cleared = []
+    for msg, sig in cases:
+        codec.pk_decode.cache_clear()
+        cleared.append(scheme.verify(params, pk, msg, sig))
+    assert resident == cleared == expected
+
+    # a tampered signature as the first verify under a fresh key: whatever it
+    # stores is NTT(t1 * 2^d), so the valid signature after it still verifies
+    want = _t1_hat(pk, params)
+    for i, (msg, sig) in enumerate(cases):
+        if expected[i]:
+            valid = (msg, sig)
+            continue
+        codec.pk_decode.cache_clear()
+        assert scheme.verify(params, pk, msg, sig) is False
+        assert scheme.verify(params, pk, *valid) is True
+        assert np.array_equal(codec.pk_decode(pk, params).t1_hat, want)
+
+
+def test_resident_key_verify_transforms_only_c_and_z(keypairs, params, monkeypatch):
+    # one ntt_values call per verify: c, z and t1 * 2^d on the first verify
+    # under a key, then only c and z; input rejected before it stores nothing
+    pk, sk = keypairs[params.level]
+    sig = scheme.sign(params, sk, b"rows")
+    zend = 32 + params.l * codec.z_packed_bytes(params)
+    too_long_z = sig[:32] + bytes(zend - 32) + sig[zend:]   # every z is gamma1
+    calls = []
+    real = ring.ntt_values
+
+    def watched(a):
+        calls.append(np.shape(a))
+        return real(a)
+
+    monkeypatch.setattr(scheme, "ntt_values", watched)
+    codec.pk_decode.cache_clear()
+    for bad in (sig[:-1], too_long_z):
+        assert not scheme.verify(params, pk, b"rows", bad)
+    assert calls == [] and codec.pk_decode(pk, params).t1_hat is None
+    for _ in range(2):
+        assert scheme.verify(params, pk, b"rows", sig)
+    assert calls == [(1 + params.l + params.k, N), (1 + params.l, N)]
+    held = codec.pk_decode(pk, params).t1_hat
+    assert held.dtype == np.int32 and not held.flags.writeable
+    assert np.array_equal(held, _t1_hat(pk, params))
+
+
+def test_threads_verifying_under_a_fresh_key_verify_as_one_thread(keypairs, monkeypatch):
+    p = param_set(3)
+    pk, sk = keypairs[3]
+    cases = _verify_cases(p, sk, 2, 33)
+    serial = [scheme.verify(p, pk, msg, sig) for msg, sig in cases]
+    stored = []
+    real = codec.DecodedPublic.hold_t1_hat
+
+    def watched(self, rows):
+        held = real(self, rows)
+        stored.append((self, held))
+        return held
+
+    monkeypatch.setattr(codec.DecodedPublic, "hold_t1_hat", watched)
+    codec.pk_decode.cache_clear()
+    # three threads, each verifying every case in its own order
+    orders = [np.random.default_rng(i).permutation(len(cases)) for i in range(3)]
+    start = threading.Barrier(len(orders))
+
+    def verdicts(order):
+        start.wait(timeout=60)
+        return [scheme.verify(p, pk, *cases[i]) for i in order]
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=len(orders)) as pool:
+            futures = [pool.submit(verdicts, order) for order in orders]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(switch)
+    assert results == [[serial[i] for i in order] for order in orders]
+    # two first decodes can race in the LRU and each build a DecodedPublic;
+    # each object's holder is filled once, and the cached one holds NTT(t1 * 2^d)
+    first = {}
+    for pub, rows in stored:
+        assert first.setdefault(id(pub), rows) is rows
+    held = codec.pk_decode(pk, p).t1_hat
+    assert any(rows is held for rows in first.values())
+    for rows in first.values():
+        assert np.array_equal(rows, _t1_hat(pk, p))
 
 
 @pytest.mark.parametrize("op", ["keygen", "sign", "verify"])
@@ -267,7 +393,8 @@ def test_signer_makes_no_decompose_call_in_sparse(keypairs, params, backend, mon
 def test_accepted_r0_max_is_lowbits_of_w_minus_cs2(keypairs, params):
     # w - c*s2 = A*z - c*t, rebuilt from the signature and both keys
     pk, sk = keypairs[params.level]
-    rho, t1, _ = codec.pk_decode(pk, params)
+    pub = codec.pk_decode(pk, params)
+    rho, t1 = pub.rho, pub.t1
     t = (t1.astype(np.int64) << D) + codec.sk_decode_extended(sk, params).t0_ext[:, N:]
     a64 = expand_a(rho, params).coeffs.astype(np.int64)
     t_hat = ntt_values(t)
@@ -284,6 +411,7 @@ def test_accepted_r0_max_is_lowbits_of_w_minus_cs2(keypairs, params):
 def test_t1_table_is_centered_t1_times_2d():
     t = np.arange(1 << 10)
     assert np.array_equal(scheme._T1_SHIFTED, ring.center(t << D))
+    assert scheme._T1_SHIFTED.dtype == np.int32
 
 
 def test_byte_like_keys_sign_and_verify(keypairs, params):
@@ -647,7 +775,7 @@ def test_cached_matrix_cannot_be_rebound(keypairs):
     p = param_set(2)
     pk, sk = keypairs[2]
     sig = scheme.sign(p, sk, b"frozen")
-    A = expand_a(codec.pk_decode(pk, p)[0], p)
+    A = expand_a(codec.pk_decode(pk, p).rho, p)
     with pytest.raises(dataclasses.FrozenInstanceError):
         A.coeffs = np.zeros_like(A.coeffs)
     assert scheme.verify(p, pk, b"frozen", sig)
