@@ -7,7 +7,10 @@ time with DecodeError so verification can fail closed. Both bit-field
 kernels work on groups of g = 8/gcd(width, 8) fields, which fill g*width/8
 whole bytes. `pack_bits` pairs neighbouring fields into fields of twice the
 width while they fit a uint64, then ORs what is left of each group into
-little-endian words. Every unpacker reads each field from the 4-byte
+little-endian words. `pack_w1` has its own narrow-word packer, as its
+range check bounds every field: two 4-bit fields per uint8 with one
+shift-or, or four 6-bit fields per uint32 in two pairings, of which the
+three low bytes are kept. Every unpacker reads each field from the 4-byte
 little-endian word at its byte offset, then shifts and masks, in uint32:
 `unpack_bits` widens the fields to int64, while the object decoders keep
 them 32 bits wide (z, t0, t1 and the secrets all fit int32).
@@ -19,7 +22,9 @@ them across restarts. `signing_layout` picks each lane type from tau times
 the coefficient bound, so every signing product is exact: int8 for the
 secrets at levels 2 and 5, int16 at level 3, int32 for t0. Both key decoders
 are memoized per key like `expand_a`, with read-only results: up to 16
-decoded secret keys stay resident until evicted or `cache_clear()`. The
+decoded secret keys stay resident until evicted or `cache_clear()`. A lock
+per decoder serializes its calls, so threads that miss on one key together
+decode it once and share the result. The
 public-key decoder returns a `DecodedPublic` that also holds tr = H(pk, 32)
 and, after the first verify under the key, NTT(t1 * 2^d): verifying under a
 resident key neither hashes the key again nor transforms t1.
@@ -27,6 +32,7 @@ resident key neither hashes the key again nor transforms t1.
 
 import functools
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -168,10 +174,27 @@ def unpack_z(data: bytes, params: ParameterSet) -> np.ndarray:
 
 
 def pack_w1(w1, params: ParameterSet) -> bytes:
-    v = np.asarray(w1, dtype=np.int64)
+    """The 4-bit (levels 3, 5) or 6-bit (level 2) fields of w1 rows (..., 256).
+
+    Past the range check every field fits a narrow word, so this packs
+    without `pack_bits`: 4-bit fields are paired into bytes with one
+    shift-or; 6-bit fields are paired twice in uint32, and each word's
+    three low bytes are the group's image.
+    """
+    v = np.asarray(w1)
     top = (Q - 1) // params.alpha - 1
     _check_range(v, 0, top, "w1")
-    return pack_bits(v, top.bit_length())
+    if top < 16:
+        u = v.astype(np.uint8).reshape(-1, 2)
+        out = u[:, 1] << 4
+        out |= u[:, 0]
+        return out.tobytes()
+    u = v.astype(np.uint32).reshape(-1)
+    pair = u[1::2] << 6
+    pair |= u[0::2]
+    word = pair[1::2] << 12
+    word |= pair[0::2]
+    return word.astype("<u4", copy=False).view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +227,14 @@ def sig_size(params: ParameterSet) -> int:
 
 def _memoized_decoder(decode):
     cached = functools.lru_cache(maxsize=16)(decode)   # on bytes(key): any bytes-like key hits
-    wrapper = functools.wraps(decode)(lambda key, params: cached(bytes(key), params))
+    lock = threading.Lock()             # threads that miss together decode a key once
+
+    @functools.wraps(decode)
+    def wrapper(key, params):
+        key = bytes(key)
+        with lock:
+            return cached(key, params)
+
     wrapper.cache_info, wrapper.cache_clear = cached.cache_info, cached.cache_clear
     return wrapper
 

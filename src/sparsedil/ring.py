@@ -6,7 +6,7 @@ fails loudly. The NTT fully splits x^256 + 1 into linear factors using the
 primitive 512th root of unity zeta = 1753: output i is
 a(zeta^(2*brv(i) + 1)), with brv the 8-bit bit reversal. Multiplication in
 the NTT domain is plain coefficient-wise modular multiplication
-(`ntt_product`); no scaling factor is left behind and
+(`pointwise_mul`); no scaling factor is left behind and
 inv_ntt(pointwise_mul(ntt(a), ntt(b))) equals the schoolbook negacyclic
 product exactly.
 
@@ -50,6 +50,13 @@ every sum of at most l <= 7 of them below 2^49: exact. It does not reduce;
 keygen, sign and verify all compute w = INTT(A o NTT(v)) as
 `intt_values(matvec_hat(A, ntt_values(v)))`, and `intt_values` centers
 that float64 sum with `_reduce`.
+
+`ntt_product` is the counted coefficient-wise product. It does not reduce
+either: operands in [0, q) give the exact int64 product, below 2^46.
+Verify computes `intt_values(matvec_hat(A, z_hat) - ntt_product(c_hat,
+t1_hat))`, whose operand lies in [-(q-1)^2, 7(q-1)^2], inside
+(-2^49, 2^49), so `intt_values` centers it as it centers any
+`matvec_hat` sum. `pointwise_mul` reduces the product for its `Poly`.
 
 The modmul counter charges the butterfly NTT's cost model, the paper's
 baseline, not the stage products' work: 8 layers of 128 products per
@@ -225,10 +232,14 @@ def intt_values(fhat) -> np.ndarray:
 
 
 def ntt_product(a_hat, b_hat) -> np.ndarray:
-    """Coefficient-wise product of NTT values, broadcasting; int64 in [0, q), one modmul each."""
+    """Coefficient-wise product of NTT values, broadcasting; one modmul each.
+
+    Operands in [0, q). Int64, the exact unreduced product, below 2^46;
+    `intt_values` centers it, and `pointwise_mul` reduces it.
+    """
     prod = np.asarray(a_hat, dtype=np.int64) * b_hat
     instrumentation.add_modmul(prod.size)
-    return prod % Q
+    return prod
 
 
 def matvec_hat(a_hat: np.ndarray, v_hat) -> np.ndarray:
@@ -265,10 +276,10 @@ def inv_ntt(p: Poly) -> Poly:
 
 
 def pointwise_mul(a: Poly, b: Poly) -> Poly:
-    """`ntt_product` of two NTT-domain operands."""
+    """`ntt_product` of two NTT-domain operands, reduced to [0, q)."""
     _require(a.domain == b.domain, f"domain mismatch: {a.domain.value} vs {b.domain.value}")
     _require(a.domain == Domain.NTT, "pointwise_mul expects NTT-domain inputs")
-    return Poly(ntt_product(a.coeffs, b.coeffs), Domain.NTT)
+    return Poly(ntt_product(a.coeffs, b.coeffs) % Q, Domain.NTT)
 
 
 def schoolbook_negacyclic(a: Poly, b: Poly) -> Poly:

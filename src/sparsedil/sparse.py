@@ -189,15 +189,21 @@ def r0_check(w, prod: np.ndarray, gamma2: int, bound: int) -> FusedR0:
     The r0 check of round 3 and FIPS 204: it decides as |LowBits(w - c*s2)|
     does while |c*s2| <= gamma2 - bound, as |c*s2| <= beta ensures. `w` is
     either w in [0, q) or its centered LowBits(w), which the signer already
-    has. LowBits is the identity on [-gamma2, gamma2] (mod q), so when one
-    min/max shows `w` lies there it is used as it is, not decomposed again.
-    The product is returned as given, in its own lanes, not copied.
+    has. LowBits is the identity on [-gamma2, gamma2] (mod q), so the
+    check decides on the largest |w - c*s2| first. Below the bound, every
+    |w| < bound + |c*s2| <= gamma2, so `w` is its own LowBits: accept. At
+    or above it, a worst coefficient whose w lies in [-gamma2, gamma2] is
+    its own LowBits too: reject. Only otherwise is `w` decomposed and
+    checked again. The product is returned as given, in its own lanes,
+    not copied.
     """
     w = np.asarray(w, dtype=np.int64)
-    if w.min() < -gamma2 or w.max() > gamma2:
-        w = decompose(w, 2 * gamma2)[1]
     diff = w - prod
-    ok = bool(np.abs(diff, out=diff).max() < bound)
+    worst = np.abs(diff, out=diff).argmax()
+    ok = bool(diff.flat[worst] < bound)
+    if not ok and abs(w.flat[worst]) > gamma2:
+        diff = decompose(w, 2 * gamma2)[1] - prod
+        ok = bool(np.abs(diff, out=diff).max() < bound)
     return FusedR0(ok, prod, w.shape[0] * _BLOCKS_PER_POLY)
 
 

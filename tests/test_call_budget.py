@@ -21,8 +21,8 @@ from sparsedil import scheme
 from sparsedil.params import LEVELS, param_set
 
 MESSAGES = 16
-BUDGET = {2: 4276, 3: 4149, 5: 3584}    # package calls for MESSAGES signatures
-VERIFY_BUDGET = {2: 848, 3: 848, 5: 848}   # package calls for MESSAGES verifies
+BUDGET = {2: 4232, 3: 4108, 5: 3552}    # package calls for MESSAGES signatures
+VERIFY_BUDGET = {2: 832, 3: 832, 5: 832}   # package calls for MESSAGES verifies
 
 
 def _package_calls(fn) -> int:

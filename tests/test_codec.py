@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sparsedil import codec, scheme, sparse
 from sparsedil.keccak import shake256
@@ -147,9 +148,25 @@ def test_pack_range_errors():
     bad[0, 0] = p.gamma1 + 1
     with pytest.raises(ValueError, match="z"):
         codec.pack_z(bad, p)
-    bad[0, 0] = 44
-    with pytest.raises(ValueError, match="w1"):
-        codec.pack_w1(bad, p)
+    for lv in LEVELS:                       # 6-bit and 4-bit w1 fields
+        q = param_set(lv)
+        for v in (-1, (Q - 1) // q.alpha):  # one below 0, one above the top value
+            bad[0, 0] = v
+            with pytest.raises(ValueError, match="w1"):
+                codec.pack_w1(bad, q)
+
+
+@pytest.mark.parametrize("level", LEVELS)
+@pytest.mark.parametrize("block", [1, 2], ids=["verify", "sign"])
+@given(data=st.data())
+def test_pack_w1_matches_pack_bits(level, block, data):
+    # the narrow-word packer against the generic one, on w1 as verify passes
+    # it, (k, 256), and as the signer packs an attempt block, (2, k, 256)
+    p = param_set(level)
+    top = (Q - 1) // p.alpha - 1
+    shape = (p.k, N) if block == 1 else (block, p.k, N)
+    w1 = data.draw(hnp.arrays(np.int64, shape, elements=st.integers(0, top)))
+    assert codec.pack_w1(w1, p) == codec.pack_bits(w1, top.bit_length())
 
 
 def test_pk_decode_length_check():

@@ -440,6 +440,32 @@ def test_w_chain_matches_int64_path_at_worst_case(k, l, gamma1):
         assert got.dtype == np.float64 and got.shape == v.shape[:-2] + (k, N)
         assert np.array_equal(got, want)
         assert cn.modmul == a.size * (v.size // a[0].size)      # k*l*256 per vector
+    # verify's c*t1 chain: A o z_hat - c_hat o t1_hat, both unreduced, into the
+    # inverse transform. Rows of A and of t1_hat that are 0 or q - 1 cross, so
+    # the operand reaches 7(q-1)^2 (A row q - 1, t1 row 0, l = 7) and -(q-1)^2
+    # (A row 0, t1 row q - 1)
+    rows = np.arange(k)
+    for ll in sorted({l, 7}):
+        full = np.full((k, ll, N), Q - 1)
+        a_mixed = np.where((rows % 2 == 1)[:, None, None], full, 0)
+        t1_mixed = np.where((rows // 2 % 2 == 1)[:, None], Q - 1, np.zeros((k, N), np.int64))
+        c_mixed = np.where(np.arange(N) % 2 == 1, Q - 1, 0)
+        lo = hi = 0
+        for a, c_hat, t1_hat in ((full, full[0, 0], full[:, 0]), (a_mixed, full[0, 0], t1_mixed),
+                                 (full, c_mixed, t1_mixed)):
+            z_hat = full[0]
+            with instrumentation.counting() as cn:
+                prod = ring.ntt_product(c_hat, t1_hat.astype(np.int32))
+            assert cn.modmul == k * N and np.array_equal(prod, c_hat * t1_hat)
+            operand = ring.matvec_hat(a.astype(np.int32), z_hat) - prod
+            lo, hi = min(lo, operand.min()), max(hi, operand.max())
+            want = ((a * z_hat).sum(axis=1) - c_hat * t1_hat) % Q     # int64 reference
+            assert np.array_equal(ring.intt_values(operand), ring.intt_values(want))
+            hat = ring.pointwise_mul(Poly(np.broadcast_to(c_hat, (k, N)), Domain.NTT),
+                                     Poly(t1_hat, Domain.NTT)).coeffs
+            assert 0 <= hat.min() and hat.max() < Q
+            assert np.array_equal(hat, c_hat * t1_hat % Q)
+        assert (lo, hi) == (-(Q - 1) ** 2, ll * (Q - 1) ** 2)
 
 
 def test_w_chain_random_blocks():

@@ -189,6 +189,15 @@ def test_r0_check_matches_lowbits_of_difference_exhaustively():
         for given in (w, decompose(w, p.alpha)[1]):
             assert not rejects(given[~want], d[~want]), lv
             assert all(rejects(given[i:i + 1], d[i:i + 1]) for i in np.flatnonzero(want)), lv
+        # one w per call, so every accepted w is also the worst coefficient:
+        # each w within beta + 2 of a multiple of gamma2 or of q - gamma2
+        g = p.gamma2
+        near = np.arange(-p.beta - 2, p.beta + 3)
+        w = np.concatenate([j + near for j in (g, 2 * g, 3 * g, Q - g)] + [Q - 1 - near[near >= 0]])
+        for d in (-p.beta, 0, p.beta):
+            for given in (w, decompose(w, p.alpha)[1]):
+                got = [rejects(x, np.int16(d)) for x in given[:, None]]
+                assert got == exceeds[(w - d) % Q].tolist(), (lv, d)
     # the q-1 fold pushes exactly r = q - bound over the bound
     assert rejects(np.array([Q - bound]), 0)
     assert not rejects(np.array([Q - bound + 1]), 0)

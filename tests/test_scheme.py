@@ -334,15 +334,13 @@ def test_threads_verifying_under_a_fresh_key_verify_as_one_thread(keypairs, monk
     finally:
         sys.setswitchinterval(switch)
     assert results == [[serial[i] for i in order] for order in orders]
-    # two first decodes can race in the LRU and each build a DecodedPublic;
-    # each object's holder is filled once, and the cached one holds NTT(t1 * 2^d)
-    first = {}
-    for pub, rows in stored:
-        assert first.setdefault(id(pub), rows) is rows
-    held = codec.pk_decode(pk, p).t1_hat
-    assert any(rows is held for rows in first.values())
-    for rows in first.values():
-        assert np.array_equal(rows, _t1_hat(pk, p))
+    # misses are serialized: the key is decoded once, into one DecodedPublic,
+    # whose holder is filled once with NTT(t1 * 2^d)
+    assert codec.pk_decode.cache_info().misses == 1
+    pub, held = stored[0]
+    assert all(other is pub and rows is held for other, rows in stored)
+    assert codec.pk_decode(pk, p) is pub and pub.t1_hat is held
+    assert np.array_equal(held, _t1_hat(pk, p))
 
 
 @pytest.mark.parametrize("op", ["keygen", "sign", "verify"])
