@@ -273,7 +273,7 @@ def _selftest_sections(levels, trials, rng):
 
         yield f"hint-recovery-level{level}", hint_recovery
 
-        def sign_smoke(p=p, level=level):
+        def sign_smoke(p=p):
             pk, sk = scheme.keygen(p, rng.integers(0, 256, 32, dtype=np.uint8).tobytes())
             sigs = set()
             for backend in Backend:

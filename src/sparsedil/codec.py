@@ -10,10 +10,10 @@ width while they fit a uint64, then ORs what is left of each group into
 little-endian words. `pack_w1` has its own narrow-word packer, as its
 range check bounds every field: two 4-bit fields per uint8 with one
 shift-or, or four 6-bit fields per uint32 in two pairings, of which the
-three low bytes are kept. Every unpacker reads each field from the 4-byte
-little-endian word at its byte offset, then shifts and masks, in uint32:
-`unpack_bits` widens the fields to int64, while the object decoders keep
-them 32 bits wide (z, t0, t1 and the secrets all fit int32).
+three low bytes are kept. `unpack_bits`, the one unpacker, reads each
+field from the 4-byte little-endian word at its byte offset, then shifts
+and masks, in uint32, and returns the fields as int32, the dtype every
+object decoder keeps (z, t0, t1 and the secrets all fit it).
 
 The private-key decoder deviates from the classic in-memory shape on
 purpose: s1, s2 and t0 come back already widened to the 512-entry (-v, v)
@@ -24,9 +24,10 @@ secrets at levels 2 and 5, int16 at level 3, int32 for t0. Both key decoders
 are memoized per key like `expand_a`, with read-only results: up to 16
 decoded secret keys stay resident until evicted or `cache_clear()`. A lock
 per decoder serializes its calls, so threads that miss on one key together
-decode it once and share the result. The
-public-key decoder returns a `DecodedPublic` that also holds tr = H(pk, 32)
-and, after the first verify under the key, NTT(t1 * 2^d): verifying under a
+decode it once and share the result. The public-key decoder returns a
+`DecodedPublic` that holds t1 in the form verify transforms, centered
+t1 * 2^d read from a 1024-entry table, as well as tr = H(pk, 32) and,
+after the first verify under the key, NTT(t1 * 2^d): verifying under a
 resident key neither hashes the key again nor transforms t1.
 """
 
@@ -39,6 +40,7 @@ import numpy as np
 
 from .keccak import shake256
 from .params import D, LEVELS, N, Q, ParameterSet, param_set
+from .ring import center
 
 
 class DecodeError(ValueError):
@@ -82,7 +84,7 @@ def _field_pattern(width: int):
     return g, g * width // 8, bits >> 3, (bits & 7).astype(np.uint32)
 
 
-def _fields(data, width: int, count: int) -> np.ndarray:
+def unpack_bits(data, width: int, count: int) -> np.ndarray:
     """The first `count` fields of `width` <= 25 bits, as a fresh int32 array.
 
     Each field is cut from the 4-byte little-endian word that starts at its
@@ -104,11 +106,6 @@ def _fields(data, width: int, count: int) -> np.ndarray:
     return fields.reshape(-1)[:count].view(np.int32)
 
 
-def unpack_bits(data, width: int, count: int) -> np.ndarray:
-    """The first `count` fields of `width` <= 25 bits, int64."""
-    return _fields(data, width, count).astype(np.int64)
-
-
 def _check_range(values: np.ndarray, lo: int, hi: int, what: str) -> None:
     if values.min(initial=lo) < lo or values.max(initial=hi) > hi:
         raise ValueError(f"{what} coefficient outside [{lo}, {hi}]")
@@ -124,7 +121,7 @@ def pack_t1(t1) -> bytes:
 
 
 def unpack_t1(data: bytes, m: int) -> np.ndarray:
-    return _fields(data, 10, m * N).reshape(m, N)
+    return unpack_bits(data, 10, m * N).reshape(m, N)
 
 
 def pack_t0(t0) -> bytes:
@@ -135,7 +132,7 @@ def pack_t0(t0) -> bytes:
 
 
 def unpack_t0(data: bytes, m: int) -> np.ndarray:
-    t0 = _fields(data, D, m * N)
+    t0 = unpack_bits(data, D, m * N)
     return np.subtract(1 << (D - 1), t0, out=t0).reshape(m, N)
 
 
@@ -150,7 +147,7 @@ def pack_eta(s, eta: int) -> bytes:
 
 
 def unpack_eta(data: bytes, m: int, eta: int) -> np.ndarray:
-    s = _fields(data, _eta_width(eta), m * N)
+    s = unpack_bits(data, _eta_width(eta), m * N)
     if s.max(initial=0) > 2 * eta:          # eta - field < -eta; fields are >= 0
         raise DecodeError("secret field out of range")
     return np.subtract(eta, s, out=s).reshape(m, N)
@@ -169,7 +166,7 @@ def pack_z(z, params: ParameterSet) -> bytes:
 def unpack_z(data: bytes, params: ParameterSet) -> np.ndarray:
     """gamma1 - field for every z field in `data`, int32 (masks and z both fit it)."""
     width = _z_width(params)
-    z = _fields(data, width, len(data) * 8 // width)
+    z = unpack_bits(data, width, len(data) * 8 // width)
     return np.subtract(params.gamma1, z, out=z)
 
 
@@ -242,7 +239,7 @@ def _memoized_decoder(decode):
 # ---------------------------------------------------------------------------
 # public key
 
-def pk_encode(rho: bytes, t1, params: ParameterSet) -> bytes:
+def pk_encode(rho: bytes, t1) -> bytes:
     return rho + pack_t1(t1)
 
 
@@ -256,7 +253,7 @@ class DecodedPublic:
     """
 
     rho: bytes
-    t1: np.ndarray          # (k, 256) 10-bit fields, uint16
+    t1: np.ndarray          # (k, 256) centered t1 * 2^d, int32
     tr: bytes               # H(pk, 32)
     _held: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -276,16 +273,22 @@ class DecodedPublic:
         return self._held.setdefault("t1_hat", rows)
 
 
+# t1 * 2^d, centered, for every 10-bit t1: the rows verify transforms enter
+# the NTT as they are, int32 like z
+_T1_SHIFTED = center(np.arange(1 << 10) << D).astype(np.int32)
+_T1_SHIFTED.setflags(write=False)
+
+
 @_memoized_decoder
 def pk_decode(pk: bytes, params: ParameterSet) -> DecodedPublic:
-    """The seed rho, the 10-bit t1 fields and tr = H(pk, 32) of a public key.
+    """The seed rho, centered t1 * 2^d and tr = H(pk, 32) of a public key.
 
     Cached per key with `t1_hat` still empty; the first verify under the
     key fills it, and `cache_clear()` or eviction drops it with the rest.
     """
     if len(pk) != pk_size(params):
         raise DecodeError(f"public key must be {pk_size(params)} bytes, got {len(pk)}")
-    t1 = unpack_t1(pk[32:], params.k).astype(np.uint16)   # 10-bit fields
+    t1 = _T1_SHIFTED[unpack_t1(pk[32:], params.k)]
     t1.setflags(write=False)
     return DecodedPublic(pk[:32], t1, shake256(pk, 32))
 

@@ -33,15 +33,14 @@ stage goes to [0, q) in the same way through floor((x + 1/2)/q)
 (`_to_residues`), as (x + 1/2)/q lies at least 1/(2q) from any integer.
 
 `ntt_values` and `intt_values` feed the first stage centered operands.
-Integer input that already lies in [-(q-1)/2, (q-1)/2] goes in as it is:
-int8 and int16 always do, int32 and int64 when one min/max says so (the
-challenge, the masks, the secrets and verify's rows). Other int64 is
-reduced mod q first, so any int64 is taken. Every other input (float64
-included) is centered with `_reduce` straight into a fresh float64 array,
-with no copy of the input first; it needs integer values below 2^49 in
-magnitude. The bound stays (q-1)/2: an operand up to 2^23 would
-raise the first-stage sums to 2^49, past the margin of a BLAS that loses a
-few low bits.
+Every input holds integer values below 2^49 in magnitude. Integer input
+that already lies in [-(q-1)/2, (q-1)/2] goes in as it is: int8 and int16
+always do, int32 and int64 when one min/max says so (the challenge, the
+masks, the secrets and verify's rows). Every other input (int64 products
+and float64 sums included) is centered with `_reduce` straight into a
+fresh float64 array, with no copy of the input first. The bound stays
+(q-1)/2: an operand up to 2^23 would raise the first-stage sums to 2^49,
+past the margin of a BLAS that loses a few low bits.
 
 `matvec_hat` is the one A o v stage, summed over l, in float64. Its
 operands are below q in magnitude (A as sampled in [0, q), v as
@@ -194,25 +193,22 @@ _HALF = (Q - 1) // 2
 
 
 def _centered(x: np.ndarray) -> np.ndarray:
-    """Centered representatives of integers: any int64, other dtypes below 2^49.
+    """Centered representatives of integer values below 2^49 in magnitude.
 
     Integers already in [-(q-1)/2, (q-1)/2] are returned as they are.
     """
     if x.dtype.kind in "iu" and (x.dtype.itemsize <= 2 or (
             x.max(initial=0) <= _HALF and -_HALF <= x.min(initial=0))):
         return x
-    if x.dtype == np.int64:
-        return center(x)
     return _reduce(x)
 
 
 def ntt_values(a) -> np.ndarray:
     """Forward transform of standard-order coefficients, any leading shape.
 
-    Takes any int64, or integer values of another dtype below 2^49 in
-    magnitude; centered integers skip the centering pass. Output i is
-    a(zeta^(2*brv(i) + 1)) mod q, int64 in [0, q); counted _NTT_MODMULS per
-    row.
+    Takes integer values below 2^49 in magnitude, of any dtype; centered
+    integers skip the centering pass. Output i is a(zeta^(2*brv(i) + 1))
+    mod q, int64 in [0, q); counted _NTT_MODMULS per row.
     """
     a = np.asarray(a)
     instrumentation.add_modmul(_rows(a) * _NTT_MODMULS)
@@ -222,9 +218,9 @@ def ntt_values(a) -> np.ndarray:
 def intt_values(fhat) -> np.ndarray:
     """Inverse transform, including the 1/256 scaling; int64 in [0, q).
 
-    Takes any int64, or integer values of another dtype below 2^49 in
-    magnitude, such as `matvec_hat`'s float64 sums; centered integers skip
-    the centering pass. Counted _INTT_MODMULS per row.
+    Takes integer values below 2^49 in magnitude, of any dtype, such as
+    `matvec_hat`'s float64 sums and `ntt_product`'s int64 products; centered
+    integers skip the centering pass. Counted _INTT_MODMULS per row.
     """
     fhat = np.asarray(fhat)
     instrumentation.add_modmul(_rows(fhat) * _INTT_MODMULS)

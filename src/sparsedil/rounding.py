@@ -1,14 +1,13 @@
 """Coefficient rounding, high/low-bit decomposition, hints, and norm checks.
 
-All functions are vectorized over numpy integer arrays (any shape) and also
-accept Python ints, returning numpy scalars. Inputs to power2round and
-decompose must be canonical representatives in [0, q).
+All functions are vectorized over numpy integer arrays (any shape). Inputs
+to power2round and decompose must be canonical representatives in [0, q),
+and norm_inf_exceeds takes centered values.
 """
 
 import numpy as np
 
 from .params import D, Q
-from .ring import center
 
 
 def power2round(r):
@@ -24,16 +23,14 @@ def decompose(r, alpha: int):
 
     Rounds half down: r1 = ceil((r - alpha/2) / alpha). The q-1 boundary is
     folded down: when r1 == (q-1)/alpha the high part wraps to 0 and r0 is
-    decremented, keeping r1 in [0, (q-1)/alpha). An array folds in place:
-    a boolean assignment zeroes r1 there and r0 subtracts the mask; a 0-d
-    input, whose parts are numpy scalars, folds through np.where.
+    decremented, keeping r1 in [0, (q-1)/alpha). `r` is an array, and the
+    fold is in place: a boolean assignment zeroes r1 there and r0 subtracts
+    the mask.
     """
     r = np.asarray(r, dtype=np.int64)
     r1 = (r + (alpha // 2 - 1)) // alpha
     r0 = r - r1 * alpha
     top = r1 == (Q - 1) // alpha
-    if r.ndim == 0:
-        return np.where(top, 0, r1), r0 - top
     r1[top] = 0
     r0 -= top
     return r1, r0
@@ -75,13 +72,10 @@ def hint_weight(h) -> int:
 
 
 def norm_inf_exceeds(v, bound: int) -> bool:
-    """True iff any centered coefficient magnitude is >= bound.
+    """True iff any coefficient magnitude of the centered `v` is >= bound.
 
-    Accepts reduced [0, q) or centered values. The comparison is non-strict
-    to match the rejection rule "reject when the norm reaches the bound".
+    The comparison is non-strict to match the rejection rule "reject when
+    the norm reaches the bound".
     """
     v = np.asarray(v)
-    lo, hi = int(v.min(initial=0)), int(v.max(initial=0))  # 0, 0 when empty
-    if -(Q - 1) // 2 <= lo and hi <= (Q - 1) // 2:  # centered already
-        return max(-lo, hi) >= bound
-    return bool(np.any(np.abs(center(v)) >= bound))
+    return max(-int(v.min(initial=0)), int(v.max(initial=0))) >= bound   # False when empty

@@ -44,7 +44,7 @@ import numpy as np
 
 from . import codec, instrumentation
 from .keccak import shake256
-from .params import D, N, Q, ParameterSet
+from .params import N, Q, ParameterSet
 from .ring import center, intt_values, matvec_hat, ntt_product, ntt_values
 from .rounding import (decompose, hint_weight, make_hint, norm_inf_exceeds,
                        power2round, use_hint)
@@ -108,7 +108,7 @@ def keygen(params: ParameterSet, zeta: bytes) -> tuple[bytes, bytes]:
     s1, s2 = expand_s(rho_prime, params)
     t = (intt_values(matvec_hat(A.coeffs, ntt_values(s1))) + s2) % Q
     t1, t0 = power2round(t)
-    pk = codec.pk_encode(rho, t1, params)
+    pk = codec.pk_encode(rho, t1)
     tr = shake256(pk, 32)
     sk = codec.sk_encode(rho, key, tr, s1, s2, t0, params)
     return pk, sk
@@ -231,12 +231,6 @@ def _ntt_cs(c_hat, s_hat):
     return center(intt_values(ntt_product(c_hat, s_hat)))
 
 
-# t1 * 2^d, centered, for every 10-bit t1: verify's t1 rows enter the NTT as
-# they are, int32 like z, so the rows verify transforms stay int32
-_T1_SHIFTED = center(np.arange(1 << 10) << D).astype(np.int32)
-_T1_SHIFTED.setflags(write=False)
-
-
 def verify(params: ParameterSet, pk: bytes, message: bytes, sig: bytes) -> bool:
     """Check a signature: True iff `sig` is valid for `message` under `pk`.
 
@@ -263,7 +257,7 @@ def verify(params: ParameterSet, pk: bytes, message: bytes, sig: bytes) -> bool:
     c = sample_in_ball(c_tilde, params.tau)[None]
     t1_hat = pub.t1_hat
     if t1_hat is None:                     # c, z and t1 * 2^d, all centered
-        rows_hat = ntt_values(np.concatenate((c, z, _T1_SHIFTED[pub.t1])))
+        rows_hat = ntt_values(np.concatenate((c, z, pub.t1)))
         t1_hat = rows_hat[1 + params.l:]
         pub.hold_t1_hat(t1_hat)            # an int32 copy; this verify uses its own rows
     else:                                  # c and z

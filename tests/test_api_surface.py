@@ -1,5 +1,6 @@
 """Every public top-level function and class has a caller outside the tests,
-and no package module reads another one's private names.
+no package module reads another one's private names, and every function
+reads each of its parameters.
 
 A name counts as used when a code token (not a string, a comment or an
 import) names it somewhere in `src/`, `demos/` or `perfbench/`, other than
@@ -10,6 +11,11 @@ A private name (`_name`, not a dunder) belongs to its module: a token run
 `other . _name` in `src/sparsedil/`, where `other` is another module of the
 package, fails the second test. Tests, demos and perfbench may reach into
 internals on purpose and are not scanned.
+
+A parameter counts as read when its name is loaded somewhere in the body of
+its function, nested functions included; a default value does not count.
+A parameter nothing reads is an input form the function only pretends to
+take.
 """
 
 import ast
@@ -23,6 +29,12 @@ PACKAGE = ROOT / "src" / "sparsedil"
 # public names kept without a caller, each with its reason
 UNCALLED = {
     ("bench", "parse_csv"): "acceptance criterion 8 parses `bench --format csv` output with it",
+}
+
+# (module, function, parameter) kept unread, each with its reason
+UNREAD = {
+    ("scheme", "default_backend", "level"):
+        "perfbench and the CLI ask for the default per level; today every level has the same",
 }
 
 
@@ -77,3 +89,23 @@ def test_no_module_reads_another_modules_private_names():
     reads = {f"{path.stem}:{line}": read for path in sorted(PACKAGE.glob("*.py"))
              for line, read in _private_reads(path)}
     assert reads == {}
+
+
+def _unread_parameters(path: Path):
+    """(module, function, parameter) of each parameter its function's body never loads."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+            params += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+            loaded = {n.id for stmt in node.body for n in ast.walk(stmt)
+                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            for name in params:
+                if name not in loaded:
+                    yield path.stem, node.name, name
+
+
+def test_every_parameter_is_read():
+    unread = {u for path in sorted(PACKAGE.glob("*.py")) for u in _unread_parameters(path)}
+    assert unread - UNREAD.keys() == set(), "parameters nothing reads"
+    assert UNREAD.keys() - unread == set()

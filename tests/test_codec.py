@@ -5,8 +5,8 @@ from hypothesis.extra import numpy as hnp
 
 from sparsedil import codec, scheme, sparse
 from sparsedil.keccak import shake256
-from sparsedil.params import LEVELS, N, Q, param_set
-from sparsedil.ring import intt_values, ntt_values
+from sparsedil.params import D, LEVELS, N, Q, param_set
+from sparsedil.ring import center, intt_values, ntt_values
 from sparsedil.rounding import power2round
 from sparsedil.sampling import expand_a, expand_s
 
@@ -69,7 +69,7 @@ def _unpack_bits_oracle(data, width, count):
 
 @pytest.mark.parametrize("width", CODEC_WIDTHS)
 def test_unpack_bits_matches_int64_reference(width):
-    # the gather must equal an int64 bit-weight product, at the all-ones maximum too
+    # the int32 gather must equal an int64 bit-weight product, at the all-ones maximum too
     rng = np.random.default_rng(width)
     count = 1024
     for data in (b"\xff" * (count * width // 8),
@@ -78,7 +78,7 @@ def test_unpack_bits_matches_int64_reference(width):
         want = bits[:count * width].reshape(count, width).astype(np.int64) @ (
             np.int64(1) << np.arange(width, dtype=np.int64))
         got = codec.unpack_bits(data, width, count)
-        assert got.dtype == np.int64 and np.array_equal(got, want)
+        assert got.dtype == np.int32 and np.array_equal(got, want)
     assert codec.unpack_bits(b"\xff" * width, width, 8).tolist() == [(1 << width) - 1] * 8
     with pytest.raises(codec.DecodeError, match="too short"):
         codec.unpack_bits(bytes(count * width // 8 - 1), width, count)
@@ -94,7 +94,7 @@ def test_unpack_bits_partial_groups_and_buffer_types(width):
         want = _unpack_bits_oracle(data, width, count)
         for buf in (data, bytearray(data), memoryview(data), data + b"\xff\xff"):
             got = codec.unpack_bits(buf, width, count)
-            assert got.dtype == np.int64 and got.tolist() == want, (count, type(buf))
+            assert got.dtype == np.int32 and got.tolist() == want, (count, type(buf))
         if size:
             with pytest.raises(codec.DecodeError, match="too short"):
                 codec.unpack_bits(data[:-1], width, count)
@@ -195,7 +195,7 @@ def test_sk_decode_pipeline_identity(keypairs):
         t1, t0 = power2round(t)
         assert np.array_equal(dec.t0_ext[:, N:], t0)
         assert np.array_equal(dec.t0_ext[:, :N], -t0)
-        assert np.array_equal(codec.pk_decode(pk, p).t1, t1)
+        assert np.array_equal(codec.pk_decode(pk, p).t1, center(t1 << D))
 
 
 def test_sk_decode_returns_readonly_arrays(keypairs):
@@ -224,11 +224,17 @@ def test_key_decoders_return_one_cached_readonly_object(keypairs):
             assert codec.sk_decode_extended(key, p) is dec
         for key in (pk, bytearray(pk), memoryview(pk)):
             assert codec.pk_decode(key, p) is pub
-        assert t1.dtype == np.uint16        # 10-bit fields, 2 bytes each
+        assert t1.dtype == np.int32         # centered t1 * 2^d, the rows verify transforms
         assert type(dec.rho) is type(pub.rho) is bytes
         assert pub.tr == dec.tr             # H(pk, 32), as keygen stored it in sk
         with pytest.raises(ValueError):
             t1[0, 0] = 1
+
+
+def test_t1_table_is_centered_t1_times_2d():
+    t = np.arange(1 << 10)
+    assert np.array_equal(codec._T1_SHIFTED, center(t << D))
+    assert codec._T1_SHIFTED.dtype == np.int32
 
 
 def test_malformed_keys_raise_on_every_call(keypairs):

@@ -32,7 +32,7 @@ def fips204_public_key(xi: bytes, level: int) -> bytes:
     s1, s2 = expand_s(rho_prime, p)
     a64 = expand_a(rho, p).coeffs.astype(np.int64)
     t = (intt_values((a64 * ntt_values(s1)).sum(axis=1) % Q) + s2) % Q
-    return codec.pk_encode(rho, power2round(t)[0], p)
+    return codec.pk_encode(rho, power2round(t)[0])
 
 
 def openssl_public_key(xi: bytes, level: int) -> bytes:

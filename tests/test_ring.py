@@ -189,12 +189,19 @@ def test_ntt_matches_definition():
 
 
 def test_intt_inverts_ntt_on_full_range():
+    # integer values up to +-(2^49 - 1), the range every transform takes, as
+    # int64 and as float64: each transform matches the definition, and the
+    # other one inverts it
     rng = np.random.default_rng(12)
-    info = np.iinfo(np.int64)
-    x = rng.integers(info.min, info.max, (64, N), endpoint=True)
-    x[0, :4] = [info.min, info.max, -1, 0]
-    assert np.array_equal(ring.intt_values(ring.ntt_values(x)), x % Q)
-    assert np.array_equal(ring.ntt_values(ring.intt_values(x)), x % Q)
+    top = 2**49 - 1
+    x = rng.integers(-top, top, (64, N), endpoint=True)
+    x[0, :4] = [-top, top, -1, 0]
+    for given in (x, x.astype(np.float64)):
+        for fn, inverse, definition in ((ring.ntt_values, ring.intt_values, _NTT_DEF),
+                                        (ring.intt_values, ring.ntt_values, _INTT_DEF)):
+            got = fn(given)
+            assert np.array_equal(got, _by_definition(x, definition)), (given.dtype, fn)
+            assert np.array_equal(inverse(got), x % Q), (given.dtype, fn)
     for const in (0, 1, HALF, HALF + 1, Q - 1):
         row = np.full(N, const)
         assert np.array_equal(ring.intt_values(ring.ntt_values(row)), row)
@@ -202,8 +209,8 @@ def test_intt_inverts_ntt_on_full_range():
 
 def test_every_input_dtype_transforms_as_int64():
     # int8 and int16 enter the first stage as they are, and so do int32 and
-    # int64 rows within +-(q-1)/2; other int64 is reduced mod q first, other
-    # int32 and float64 are centered in float64, exact below 2^49: each
+    # int64 rows within +-(q-1)/2; other int32, int64 and float64 rows are
+    # centered in float64, exact below 2^49: each
     # integer dtype's full range, float64 to 2^49 - 1, and rows on either
     # side of the pass-through bound
     rng = np.random.default_rng(13)
@@ -229,6 +236,27 @@ def test_every_input_dtype_transforms_as_int64():
             assert got.dtype == np.int64 and np.array_equal(got, fn(ref)), (x.dtype, fn)
             if x.dtype != np.float64:
                 assert np.array_equal(got, _by_definition(ref, definition)), (x.dtype, fn)
+
+
+@pytest.mark.parametrize("level", LEVELS)
+def test_inverse_of_unreduced_products_matches_definition(level):
+    # the ntt backend's c*s goes intt_values(ntt_product(c_hat, s_hat)): int64
+    # products up to (q-1)^2, centered by _reduce. Operands at q - 1, and rows
+    # of 0 and q - 1 that cross, checked against the int64 definition
+    k = param_set(level).k
+    rng = np.random.default_rng(level)
+    full = np.full((k, N), Q - 1)
+    mixed = np.where((np.arange(k) % 2 == 1)[:, None], full, 0)
+    alternating = np.where(np.arange(N) % 2 == 1, Q - 1, 0)
+    for a, b in ((full[0], full), (full[0], mixed), (alternating, full), (alternating, mixed),
+                 (rng.integers(0, Q, N), rng.integers(0, Q, (k, N)))):
+        for bb in (b, np.stack((b, b[::-1]))):          # (k, 256) and (2, k, 256)
+            prod = ring.ntt_product(a, bb)
+            assert prod.dtype == np.int64 and prod.max() <= (Q - 1) ** 2
+            got = ring.intt_values(prod)
+            assert got.shape == bb.shape
+            assert np.array_equal(got, _by_definition(a * bb % Q, _INTT_DEF)), (a[:2], bb.shape)
+    assert ring.ntt_product(full[0], full).max() == (Q - 1) ** 2
 
 
 def test_transforms_leave_their_input_unchanged():

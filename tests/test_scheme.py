@@ -44,14 +44,13 @@ def test_t_reconstruction(keypairs):
         p = param_set(lv)
         pk, sk = keypairs[lv]
         dec = codec.sk_decode_extended(sk, p)
-        t1 = codec.pk_decode(pk, p).t1
+        t1 = codec.pk_decode(pk, p).t1         # centered t1 * 2^d
         A = expand_a(dec.rho, p)
         s1 = dec.s1_ext[:, N:].astype(np.int64)
         s2 = dec.s2_ext[:, N:].astype(np.int64)
         t = (intt_values((A.coeffs.astype(np.int64)
                           * ntt_values(s1)[None, :, :]).sum(axis=1) % Q) + s2) % Q
-        # t1 is uint16, too narrow for t1 * 2^D
-        assert np.array_equal((t1.astype(np.int64) * (1 << D) + dec.t0_ext[:, N:]) % Q, t)
+        assert np.array_equal((t1.astype(np.int64) + dec.t0_ext[:, N:]) % Q, t)
 
 
 @pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.value)
@@ -244,8 +243,7 @@ def _verify_cases(params, sk, n, seed):
 
 
 def _t1_hat(pk, params):
-    t1 = codec.pk_decode(pk, params).t1
-    return ntt_values(t1.astype(np.int64) << D)
+    return ntt_values(codec.pk_decode(pk, params).t1)      # t1 * 2^d
 
 
 def test_verdicts_do_not_depend_on_key_residency(keypairs, params):
@@ -356,7 +354,7 @@ def test_default_operations_make_no_center_call(keypairs, params, op, monkeypatc
         calls.append(np.shape(values))
         return real(values)
 
-    for module in (ring, rounding, scheme):
+    for module in (ring, codec, scheme):
         monkeypatch.setattr(module, "center", counted)
     for i in range(3):
         if op == "keygen":
@@ -393,7 +391,7 @@ def test_accepted_r0_max_is_lowbits_of_w_minus_cs2(keypairs, params):
     pk, sk = keypairs[params.level]
     pub = codec.pk_decode(pk, params)
     rho, t1 = pub.rho, pub.t1
-    t = (t1.astype(np.int64) << D) + codec.sk_decode_extended(sk, params).t0_ext[:, N:]
+    t = t1.astype(np.int64) + codec.sk_decode_extended(sk, params).t0_ext[:, N:]
     a64 = expand_a(rho, params).coeffs.astype(np.int64)
     t_hat = ntt_values(t)
     for i in range(4):
@@ -404,12 +402,6 @@ def test_accepted_r0_max_is_lowbits_of_w_minus_cs2(keypairs, params):
         w_cs2 = intt_values(((a64 * ntt_values(z)).sum(axis=1) - c_hat * t_hat) % Q)
         r0 = rounding.decompose(w_cs2, params.alpha)[1]
         assert tr.accepted_r0_max == int(np.abs(r0).max()) < params.gamma2 - params.beta
-
-
-def test_t1_table_is_centered_t1_times_2d():
-    t = np.arange(1 << 10)
-    assert np.array_equal(scheme._T1_SHIFTED, ring.center(t << D))
-    assert scheme._T1_SHIFTED.dtype == np.int32
 
 
 def test_byte_like_keys_sign_and_verify(keypairs, params):
