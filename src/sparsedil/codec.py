@@ -175,8 +175,8 @@ def pack_w1(w1, params: ParameterSet) -> bytes:
 
     Past the range check every field fits a narrow word, so this packs
     without `pack_bits`: 4-bit fields are paired into bytes with one
-    shift-or; 6-bit fields are paired twice in uint32, and each word's
-    three low bytes are the group's image.
+    shift-or; each group of four 6-bit fields is one int64 product with
+    their place values, whose three low bytes are the group's image.
     """
     v = np.asarray(w1)
     top = (Q - 1) // params.alpha - 1
@@ -186,12 +186,12 @@ def pack_w1(w1, params: ParameterSet) -> bytes:
         out = u[:, 1] << 4
         out |= u[:, 0]
         return out.tobytes()
-    u = v.astype(np.uint32).reshape(-1)
-    pair = u[1::2] << 6
-    pair |= u[0::2]
-    word = pair[1::2] << 12
-    word |= pair[0::2]
-    return word.astype("<u4", copy=False).view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
+    word = v.reshape(-1, 4) @ _W1_PLACES
+    return word.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)[:, :3].tobytes()
+
+
+_W1_PLACES = np.array([1, 1 << 6, 1 << 12, 1 << 18], np.int64)
+_W1_PLACES.setflags(write=False)
 
 
 # ---------------------------------------------------------------------------

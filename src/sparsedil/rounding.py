@@ -41,15 +41,21 @@ def highbits(r, alpha: int):
 
 
 def make_hint(z, r, alpha: int):
-    """Hint bits recording whether adding z changes the high part of r.
+    """Hint bits: 1 where HighBits(r + z) != HighBits(r), for r in [0, q).
 
-    Operands follow the signing call shape: z is the negated perturbation
-    (centered), r the perturbed value in [0, q); the produced hints let
-    use_hint(h, r) recover HighBits(r + z).
+    Precondition: z is centered with |z| <= alpha/2 (gamma2); past it the
+    rule below is not that definition. The signer passes r = w - c*s2 and
+    z = c*t0 once the c*t0 check has passed. The bits are symmetric: use_hint
+    with them on either of r and r + z recovers the other's high part.
+
+    One decomposition of r, then the round-3 reference rule on
+    t = LowBits(r) + z: a hint where t > gamma2, t < -gamma2, or t == -gamma2
+    while HighBits(r) != 0.
     """
-    r = np.asarray(r, dtype=np.int64)
-    z = np.asarray(z, dtype=np.int64)
-    return (highbits(r, alpha) != highbits((r + z) % Q, alpha)).astype(np.uint8)
+    r1, t = decompose(r, alpha)
+    t += z
+    gamma2 = alpha // 2
+    return ((t > gamma2) | (t < -gamma2) | ((t == -gamma2) & (r1 != 0))).astype(np.uint8)
 
 
 def use_hint(h, r, alpha: int):

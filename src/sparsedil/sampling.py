@@ -161,11 +161,16 @@ def expand_s(rho_prime: bytes, params: ParameterSet) -> tuple[np.ndarray, np.nda
     return s[:l], s[l:]
 
 
-def expand_mask(rho_prime: bytes, kappa: int, params: ParameterSet) -> Poly:
-    """Mask vector y, (l, 256), with coefficients in (-gamma1, gamma1], nonces kappa..kappa+l-1."""
-    buf = b"".join(_digests(shake256, rho_prime, range(kappa, kappa + params.l),
+def expand_mask(rho_prime: bytes, kappa: int, params: ParameterSet, attempts: int = 1) -> Poly:
+    """Mask rows with coefficients in (-gamma1, gamma1], one per nonce kappa, kappa+1, ...
+
+    One attempt's mask y is l rows; `attempts` consecutive masks are drawn
+    together as (attempts * l, 256) rows, nonces kappa .. kappa + attempts*l - 1.
+    """
+    rows = attempts * params.l
+    buf = b"".join(_digests(shake256, rho_prime, range(kappa, kappa + rows),
                             z_packed_bytes(params)))
-    return Poly(unpack_z(buf, params).reshape(params.l, N), Domain.STANDARD)
+    return Poly(unpack_z(buf, params).reshape(rows, N), Domain.STANDARD)
 
 
 def sample_in_ball(seed: bytes, tau: int) -> np.ndarray:

@@ -20,19 +20,23 @@ byte-identical signatures, and sparse_fused is the default everywhere.
 The r0 check is |LowBits(w) - c*s2| < gamma2 - beta, exact as |c*s2| <= beta;
 every backend passes it the LowBits(w) that the w1 decomposition left.
 
-Attempts run in speculative blocks of SIGN_BLOCK. Attempts are independent
-until their checks run, so a block draws all its masks into one int32
-array, computes every w = A*y as keygen and verify do,
-`intt_values(matvec_hat(A, ntt_values(y)))`, and packs every w1 at once.
-The hash, the challenge and the checks then run one attempt at a time in
-kappa order, and the first attempt that passes is signed: the output is
-the sequential signer's, and a trace lists only the attempts up to the
-accepted one. The loop calls its backend's two checks directly, computes
-c*t0 only once both pass, and enters a counting scope only when a trace is
-given. Masks are drawn last attempt first, so a block's last `expand_mask`
-call, its first `decompose` call and the `sample_in_ball` call after that
-all belong to one attempt (the benchmark's tracer pairs them up as one
-attempt's kernel inputs).
+Attempts run in speculative blocks of SIGN_BLOCK[level]. Attempts are
+independent until their checks run, so a block draws all its masks into
+one int32 array, computes every w = A*y as keygen and verify do,
+`intt_values(matvec_hat(A, ntt_values(y)))`, decomposes every w and packs
+every w1 at once. The hash, the challenge and the checks then run one
+attempt at a time in kappa order, and the first attempt that passes is
+signed: the output is the sequential signer's, and a trace lists only the
+attempts up to the accepted one. The loop calls its backend's two checks
+directly, computes c*t0 only once both pass, and enters a counting scope
+only when a trace is given.
+
+A block makes one `expand_mask` call for its attempts 1.. and one
+`decompose` call for them, but attempt 0 gets a call of each on its own:
+its mask is the block's last `expand_mask` call and its w the block's
+first `decompose` call. The benchmark's tracer pairs a block's last mask,
+its first decomposition and the `sample_in_ball` call after them as one
+attempt's kernel inputs, so those two calls must hold attempt 0 alone.
 """
 
 import contextlib
@@ -59,10 +63,16 @@ from .sparse import (encode_challenge, fused_r0, fused_z, r0_check,
 # MAX_SIGN_ATTEMPTS * l - 1 < 7000, stays below its 2-byte ceiling of 65536.
 MAX_SIGN_ATTEMPTS = 1000
 
-# Attempts computed together before their checks run. At about four attempts
-# per signature, two amortize the per-call overhead of the mask, w = A*y and
-# w1 packing stages; larger blocks waste more work on attempts never checked.
-SIGN_BLOCK = 2
+# Attempts computed together before their checks run, per level. At about
+# 4.5 attempts per signature a block amortizes the per-call overhead of the
+# mask, w = A*y, decomposition and w1 packing stages; larger blocks waste
+# more work on attempts never checked. Level 5 keeps blocks of 2: blocks of
+# 3 there raise signing's transient heap enough that glibc trims and
+# re-faults it between signatures. In a loop of fresh keys (keygen, sign,
+# verify per level) that was about 43 minor page faults per level 5
+# signature, against about 1 with blocks of 2; blocks of 4 faulted 24 to
+# 101 times per signature at every level.
+SIGN_BLOCK = {2: 3, 3: 3, 5: 2}
 
 
 class SigningAttemptsExceeded(RuntimeError):
@@ -173,9 +183,9 @@ def sign(params: ParameterSet, sk: bytes, message: bytes,
             else:
                 ct0 = (_ntt_cs(c_hat, t0_hat) if ntt
                        else sparse_mul_branchless_vec(index, dec.t0_ext, tau))
-                h = make_hint(-ct0, (w - r0.cs2 + ct0) % Q, alpha)
                 checks.append("ct0")
                 if not norm_inf_exceeds(ct0, gamma2):
+                    h = make_hint(ct0, (w - r0.cs2) % Q, alpha)
                     checks.append("hint")
                     if hint_weight(h) <= params.omega:
                         if trace is not None:
@@ -191,31 +201,41 @@ def sign(params: ParameterSet, sk: bytes, message: bytes,
 def _speculative_attempts(params, a_hat, rho_pp):
     """Yield (y, w, w0, packed w1) of attempts 0 .. MAX_SIGN_ATTEMPTS-1 in kappa order.
 
-    Each block of SIGN_BLOCK attempts is computed when its first attempt is
-    asked for: its masks, written last attempt first into one int32 block,
-    w = A*y for all of them in one chain, (w1, w0) = Decompose(w) per
-    attempt, and one packing of their w1, sliced per attempt.
+    Each block of SIGN_BLOCK[level] attempts is computed when its first
+    attempt is asked for, into one int32 mask block: the masks of attempts
+    1.. in one `expand_mask` call, then attempt 0's alone; w = A*y for all
+    of them in one chain; (w1, w0) = Decompose(w) of attempt 0 alone, then
+    of the others in one call; and one packing of their w1, sliced per
+    attempt.
     """
-    for first in range(0, MAX_SIGN_ATTEMPTS, SIGN_BLOCK):
-        ys = np.empty((min(SIGN_BLOCK, MAX_SIGN_ATTEMPTS - first), params.l, N), np.int32)
-        for i in reversed(range(len(ys))):
-            ys[i] = expand_mask(rho_pp, (first + i) * params.l, params).coeffs
+    l, block = params.l, SIGN_BLOCK[params.level]
+    for first in range(0, MAX_SIGN_ATTEMPTS, block):
+        n = min(block, MAX_SIGN_ATTEMPTS - first)
+        ys = np.empty((n, l, N), np.int32)
+        if n > 1:
+            ys[1:] = expand_mask(rho_pp, (first + 1) * l, params, n - 1).coeffs.reshape(-1, l, N)
+        ys[0] = expand_mask(rho_pp, first * l, params).coeffs
         ws = intt_values(matvec_hat(a_hat, ntt_values(ys)))
         w1_bytes, w0s = _packed_high_low(ws, params)
-        size = len(w1_bytes) // len(ys)
-        for i in range(len(ys)):
+        size = len(w1_bytes) // n
+        for i in range(n):
             yield ys[i], ws[i], w0s[i], w1_bytes[i * size:(i + 1) * size]
 
 
 def _packed_high_low(ws, params):
     """Decompose each w of a block: all their w1 packed at once, and each w0.
 
-    Each w1 is written into one block array, which only the packing reads.
+    Attempt 0's w is decomposed alone and the others' in one call. The w1
+    go into one block array that only the packing reads. It is freed on
+    return, before the block's checks run: held through them, it raised
+    signing's minor page faults per signature.
     """
-    alpha, w1s, w0s = params.alpha, np.empty(ws.shape, np.int64), []
-    for w, w1 in zip(ws, w1s):
-        w1[...], w0 = decompose(w, alpha)
-        w0s.append(w0)
+    alpha, w1s = params.alpha, np.empty(ws.shape, np.int64)
+    w1s[0], w0 = decompose(ws[0], alpha)
+    w0s = [w0]
+    if len(ws) > 1:
+        w1s[1:], rest = decompose(ws[1:], alpha)
+        w0s.extend(rest)
     return codec.pack_w1(w1s, params), w0s
 
 

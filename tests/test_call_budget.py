@@ -24,7 +24,7 @@ from sparsedil import sampling, scheme
 from sparsedil.params import LEVELS, param_set
 
 MESSAGES = 16
-BUDGET = {2: 4232, 3: 4108, 5: 3552}    # package calls for MESSAGES signatures
+BUDGET = {2: 3684, 3: 3623, 5: 3504}    # package calls for MESSAGES signatures
 VERIFY_BUDGET = {2: 832, 3: 832, 5: 832}   # package calls for MESSAGES verifies
 KEYGEN_BUDGET = {2: 1632, 3: 2176, 5: 3136}   # package calls for MESSAGES keygens
 

@@ -84,6 +84,30 @@ def test_hint_recovery_random():
         assert np.array_equal(use_hint(h, perturbed, alpha), highbits(r, alpha))
 
 
+def _two_highbits_hint(z, r, alpha):
+    """The definition: a hint where adding z moves the high part of r."""
+    return (highbits(r, alpha) != highbits((r + z) % Q, alpha)).astype(np.uint8)
+
+
+def test_make_hint_matches_two_highbits_definition():
+    # make_hint decomposes r once and applies the reference rule, exact for
+    # |z| <= gamma2: random pairs, then every bucket edge and centre +-3
+    # (q-1 = m*alpha, the fold, is a centre) against z at and near 0 and +-gamma2
+    rng = np.random.default_rng(12)
+    for alpha in ALPHAS:
+        gamma2 = alpha // 2
+        r = rng.integers(0, Q, 200000)
+        z = rng.integers(-gamma2, gamma2 + 1, 200000)
+        assert np.array_equal(make_hint(z, r, alpha), _two_highbits_hint(z, r, alpha))
+
+        edges = np.arange(0, Q + alpha, alpha)[:, None] + [-gamma2, 0, gamma2]
+        r = np.unique((edges.reshape(-1, 1) + np.arange(-3, 4)) % Q)
+        z = np.concatenate([np.arange(-3, 4), np.arange(-gamma2, -gamma2 + 4),
+                            np.arange(gamma2 - 3, gamma2 + 1)])
+        r, z = (a.reshape(-1) for a in np.meshgrid(r, z))
+        assert np.array_equal(make_hint(z, r, alpha), _two_highbits_hint(z, r, alpha))
+
+
 def _dense_use_hint(h, r, alpha):
     """The full-size formula: every coefficient moves, then h picks the moved ones."""
     m = (Q - 1) // alpha

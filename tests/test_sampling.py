@@ -1,6 +1,7 @@
 import hashlib
 
 import numpy as np
+from hypothesis import given, strategies as st
 
 from sparsedil import sampling, sparse
 from sparsedil.keccak import RATES
@@ -82,6 +83,19 @@ def test_expand_mask_range_and_nonce_sensitivity():
         y1 = sampling.expand_mask(seed, p.l, p)
         assert not np.array_equal(y0.coeffs, y1.coeffs)
         assert np.array_equal(y0.coeffs, sampling.expand_mask(seed, 0, p).coeffs)
+
+
+@given(st.integers(0, 65536 - 4 * max(param_set(lv).l for lv in LEVELS)))
+def test_expand_mask_attempts_stack_single_draws(kappa):
+    seed = kappa.to_bytes(4, "little") * 16
+    for lv in LEVELS:
+        p = param_set(lv)
+        for attempts in range(1, 5):
+            y = sampling.expand_mask(seed, kappa, p, attempts).coeffs
+            singles = [sampling.expand_mask(seed, kappa + i * p.l, p).coeffs
+                       for i in range(attempts)]
+            assert y.shape == (attempts * p.l, N)
+            assert np.array_equal(y, np.concatenate(singles))
 
 
 def test_expand_mask_nonce_overlap_shifts_rows():

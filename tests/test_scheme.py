@@ -454,7 +454,7 @@ def test_only_ntt_transforms_outside_the_w_chain(keypairs, params, backend, monk
 
     for name in ("ntt_values", "intt_values", "matvec_hat"):
         monkeypatch.setattr(scheme, name, watched(getattr(scheme, name)))
-    b, l, k = scheme.SIGN_BLOCK, params.l, params.k
+    b, l, k = scheme.SIGN_BLOCK[params.level], params.l, params.k
     chain = [("ntt_values", (b, l, N)), ("matvec_hat", (b, l, N)), ("intt_values", (b, k, N))]
     restarted = False
     for i in range(6):
@@ -471,6 +471,42 @@ def test_only_ntt_transforms_outside_the_w_chain(keypairs, params, backend, monk
             assert calls == chain * -(-attempts // b)
             assert total.modmul == sum(inside) > 0
     assert restarted
+
+
+def test_attempt_zero_keeps_its_own_mask_and_decompose_calls(keypairs, params, monkeypatch):
+    # the benchmark's tracer pairs a block's last expand_mask call, its first
+    # decompose call and the sample_in_ball call after them as one attempt's
+    # kernel inputs; those calls must hold attempt 0 alone, and the block's
+    # other attempts share one call of each
+    _, sk = keypairs[params.level]
+    calls = []
+
+    def watched(fn, shape_of):
+        def wrapper(*args):
+            out = fn(*args)
+            calls.append((fn.__name__, shape_of(args, out)))
+            return out
+        return wrapper
+
+    for name, shape_of in (("expand_mask", lambda args, out: out.coeffs.shape),
+                           ("decompose", lambda args, out: np.shape(args[0])),
+                           ("sample_in_ball", lambda args, out: None)):
+        monkeypatch.setattr(scheme, name, watched(getattr(scheme, name), shape_of))
+    b, l, k = scheme.SIGN_BLOCK[params.level], params.l, params.k
+    block_calls = [("expand_mask", ((b - 1) * l, N)), ("expand_mask", (l, N)),
+                   ("decompose", (k, N)), ("decompose", (b - 1, k, N))]
+    restarts = 0
+    for i in range(6):
+        calls.clear()
+        tr = SignTrace()
+        scheme.sign(params, sk, b"block calls %d" % i, trace=tr)
+        attempts = len(tr.iterations)
+        restarts = max(restarts, tr.restarts)
+        want = []
+        for first in range(0, attempts, b):
+            want += block_calls + [("sample_in_ball", None)] * min(b, attempts - first)
+        assert calls == want
+    assert restarts >= b                  # some signature needed a second block
 
 
 def test_accepted_iteration_bounds(keypairs, params):
@@ -697,7 +733,6 @@ def test_exported_names_exist():
 
 
 def test_sign_fails_closed_after_attempt_limit(keypairs, monkeypatch):
-    p = param_set(2)
     calls = []
 
     def always_reject(index, ext, w, gamma2, bound):
@@ -705,16 +740,19 @@ def test_sign_fails_closed_after_attempt_limit(keypairs, monkeypatch):
         return sparse.FusedR0(False, None, 0)
 
     monkeypatch.setattr(scheme, "fused_r0", always_reject)
-    # neither limit is a multiple of the block size: the last block is cut short
-    for limit in (3, 1):
-        assert limit % scheme.SIGN_BLOCK
-        calls.clear()
-        monkeypatch.setattr(scheme, "MAX_SIGN_ATTEMPTS", limit)
-        tr = SignTrace()
-        with pytest.raises(scheme.SigningAttemptsExceeded, match=f"{limit} attempts"):
-            scheme.sign(p, keypairs[2][1], b"m", trace=tr)
-        assert len(calls) == limit
-        assert tr.iterations == [["r0"]] * limit and tr.restarts == limit
+    for lv in LEVELS:
+        p = param_set(lv)
+        # neither limit is a multiple of the block size: the last block is cut short
+        block = scheme.SIGN_BLOCK[lv]
+        for limit in (block + 1, 1):
+            assert limit % block
+            calls.clear()
+            monkeypatch.setattr(scheme, "MAX_SIGN_ATTEMPTS", limit)
+            tr = SignTrace()
+            with pytest.raises(scheme.SigningAttemptsExceeded, match=f"{limit} attempts"):
+                scheme.sign(p, keypairs[lv][1], b"m", trace=tr)
+            assert len(calls) == limit
+            assert tr.iterations == [["r0"]] * limit and tr.restarts == limit
 
 
 def test_attempt_limit_fits_nonce_and_odds():
@@ -727,8 +765,8 @@ def test_attempt_limit_fits_nonce_and_odds():
 def test_block_size_does_not_change_signatures(keypairs, params, monkeypatch):
     pk, sk = keypairs[params.level]
     runs = {}
-    for block in (1, 2, 3):
-        monkeypatch.setattr(scheme, "SIGN_BLOCK", block)
+    for block in (1, 2, 3, 4):          # 4: one merged call over three attempts
+        monkeypatch.setitem(scheme.SIGN_BLOCK, params.level, block)
         sig = scheme.sign(params, sk, b"sparsedil KAT")
         assert hashlib.sha256(pk + sk + sig).hexdigest() == KAT_DIGESTS[params.level]
         out = []
@@ -738,7 +776,7 @@ def test_block_size_does_not_change_signatures(keypairs, params, monkeypatch):
                 out.append((scheme.sign(params, sk, b"block %d" % i, backend=backend, trace=tr),
                             tr.iterations, tr.restarts))
         runs[block] = out
-    assert runs[1] == runs[2] == runs[3]
+    assert runs[1] == runs[2] == runs[3] == runs[4]
     assert any(restarts >= 2 for _, _, restarts in runs[1])
 
 
