@@ -20,7 +20,10 @@ purpose: s1, s2 and t0 come back already widened to the 512-entry (-v, v)
 layout of the branchless multiplier, so a signing loop never re-derives
 them across restarts. `signing_layout` picks each lane type from tau times
 the coefficient bound, so every signing product is exact: int8 for the
-secrets at levels 2 and 5, int16 at level 3, int32 for t0. Both key decoders
+secrets at levels 2 and 5, int16 at level 3, int32 for t0. It stores each
+field window-major, as the `.T` view of its own C-contiguous (512, rows)
+array: a challenge window is then one contiguous block for the gather,
+and `ext[j, 256:]` still reads row j's coefficients. Both key decoders
 are memoized per key like `expand_a`, with read-only results: up to 16
 decoded secret keys stay resident until evicted or `cache_clear()`. A lock
 per decoder serializes its calls, so threads that miss on one key together
@@ -303,6 +306,7 @@ class DecodedSecret:
     rho: bytes
     key: bytes
     tr: bytes
+    # each is the .T view of its own C-contiguous (512, rows) array (window-major)
     s1_ext: np.ndarray      # (l, 512) rows in (-s, s) layout; int8, int16 at level 3
     s2_ext: np.ndarray      # (k, 512) same lanes as s1_ext
     t0_ext: np.ndarray      # (k, 512) rows in (-t0, t0) layout; int32
@@ -320,11 +324,18 @@ def signing_layout(s, bound: int, params: ParameterSet) -> np.ndarray:
     `s` must already lie in [-bound, bound], as the unpackers guarantee;
     unlike `sparse.extend_secret`, this does not check it again. The lanes
     are the narrowest of int8, int16 and int32 that hold tau*bound, so each
-    window sum and their difference, |c*s| <= tau*bound, is exact.
+    window sum and their difference, |c*s| <= tau*bound, is exact. The
+    (..., 512) rows are stored window-major: they are the `.T` view of a
+    C-contiguous (512, rows) array, built with one transposing copy of
+    `s.T` into its +s half and one contiguous negation into its -s half.
     """
     top = params.tau * bound
-    s = np.asarray(s, dtype=np.int8 if top < 2**7 else np.int16 if top < 2**15 else np.int32)
-    return np.concatenate((-s, s), axis=-1)
+    s = np.asarray(s)
+    ext = np.empty((2 * N,) + s.shape[-2::-1],
+                   np.int8 if top < 2**7 else np.int16 if top < 2**15 else np.int32)
+    ext[N:] = s.T
+    np.negative(ext[N:], out=ext[:N])
+    return ext.T
 
 
 @_memoized_decoder
@@ -333,29 +344,38 @@ def sk_decode_extended(sk: bytes, params: ParameterSet) -> DecodedSecret:
 
     Called once per signature and cached per key; restarts and later
     signatures reuse the result untouched, which the read-only flags enforce.
+    s1 and s2 get a window-major array each, as a column slice of one
+    would not be contiguous.
     """
     if len(sk) != sk_size(params):
         raise DecodeError(f"secret key must be {sk_size(params)} bytes, got {len(sk)}")
     off = 96 + (params.l + params.k) * eta_packed_bytes(params.eta)
-    ext = signing_layout(unpack_eta(sk[96:off], params.l + params.k, params.eta),
-                         params.eta, params)
-    t0_ext = signing_layout(unpack_t0(sk[off:], params.k), 1 << (D - 1), params)
-    for arr in (ext, t0_ext):
+    s = unpack_eta(sk[96:off], params.l + params.k, params.eta)
+    s1_ext, s2_ext, t0_ext = (
+        signing_layout(s[:params.l], params.eta, params),
+        signing_layout(s[params.l:], params.eta, params),
+        signing_layout(unpack_t0(sk[off:], params.k), 1 << (D - 1), params))
+    for arr in (s1_ext, s2_ext, t0_ext):
         arr.setflags(write=False)
     return DecodedSecret(rho=sk[:32], key=sk[32:64], tr=sk[64:96],
-                         s1_ext=ext[:params.l], s2_ext=ext[params.l:], t0_ext=t0_ext)
+                         s1_ext=s1_ext, s2_ext=s2_ext, t0_ext=t0_ext)
 
 
 # ---------------------------------------------------------------------------
 # signature
 
 def _encode_hints(h: np.ndarray, params: ParameterSet) -> bytes:
-    rows, pos = np.nonzero(h)
-    if len(pos) > params.omega:
+    """The omega + k byte hint section of (k, 256) hint bits, from one scan.
+
+    Positions are the flat indices mod N; row i's count is the number of
+    flat indices below (i+1)*N.
+    """
+    flat = np.flatnonzero(h)
+    if len(flat) > params.omega:
         raise ValueError(f"hint weight exceeds omega = {params.omega}")
     buf = np.zeros(params.omega + params.k, dtype=np.uint8)
-    buf[:len(pos)] = pos
-    buf[params.omega:] = np.cumsum(np.bincount(rows, minlength=params.k))
+    buf[:len(flat)] = flat % N
+    buf[params.omega:] = flat.searchsorted(np.arange(N, (params.k + 1) * N, N))
     return buf.tobytes()
 
 

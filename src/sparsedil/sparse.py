@@ -10,14 +10,20 @@ window ext[256-k .. 511-k], negacyclic signs included.
 
 The production kernel, `sparse_mul_branchless_vec` (also bound as
 `sparse_mul_branchless`), takes one extended row or any stack of rows.
-It gathers all tau windows of every row in one fancy-index read of a
-strided window view, (tau, 256) lanes per row, and sums the +1 windows
-and the -1 windows in the lanes' own dtype, wrapping. Its shapes depend
-only on (poscnt, tau), both public. `extend_secret` gives the paper's
-int8 lanes; wrapping addition is associative, so their bytes equal those
-of the paper's packed-lane (SWAR) accumulation on 32-bit words of four
-signed bytes; `packed_add_lanes`/`packed_sub_lanes` reproduce that
-arithmetic and are the kernel's test oracle. Where tau*eta <= 127
+It reads them window-major, as a (512, rows) array, so the window of
+index k is one contiguous 256 x rows block: `codec.signing_layout`, and
+so every decoded key, stores the rows as the `.T` view of such an array,
+and any other input (row-major rows from `extend_secret`, strided rows)
+is copied into that form once per call. The kernel gathers the tau
+windows in one fancy-index read of a strided (257, 256, rows) view, sums
+the +1 windows and the -1 windows over the window axis in the lanes' own
+dtype, wrapping, and returns the (256, rows) difference as its (rows,
+256) transpose, a view. Its shapes depend only on (poscnt, tau), both
+public. `extend_secret` gives the paper's int8 lanes; wrapping addition
+is associative, so their bytes equal those of the paper's packed-lane
+(SWAR) accumulation on 32-bit words of four signed bytes;
+`packed_add_lanes`/`packed_sub_lanes` reproduce that arithmetic and are
+the kernel's test oracle. Where tau*eta <= 127
 (levels 2 and 5) int8 is exact; at level 3 (196) a byte lane can wrap,
 so the signing layout (`codec.signing_layout`) widens level-3 rows to
 int16, on which every partial sum is exact. The same kernel computes
@@ -113,41 +119,58 @@ def sparse_mul_indexed(c, a: Poly) -> Poly:
 
 
 def _window_view(ext_rows: np.ndarray) -> np.ndarray:
-    """Read-only (..., 257, 256) view of every window of the extended secrets.
+    """Read-only (257, 256, rows) view of every window of the extended secrets.
 
-    Entry [..., 256-k, :] is ext[256-k .. 511-k], the window of challenge
-    index k; nothing is copied. Rows are int8 (the paper's byte lanes),
-    int16 (exact for every tau*eta of Dilithium) or int32 (exact for t0).
+    The rows are read window-major: `ext_rows.T` as a (512, rows) array,
+    its trailing axes flattened, so entry [256-k] is the contiguous
+    256 x rows block ext[..., 256-k .. 511-k].T of challenge index k.
+    Nothing is copied when `ext_rows.T` is C-contiguous, as it is for
+    `codec.signing_layout` and so for every decoded key; any other input
+    (row-major rows from `extend_secret`, strided rows) pays one copy into
+    that form. Lanes are int8 (the paper's byte lanes), int16 (exact for
+    every tau*eta of Dilithium) or int32 (exact for t0).
     """
-    ext_rows = np.ascontiguousarray(ext_rows)
     if ext_rows.dtype not in (np.int8, np.int16, np.int32) or ext_rows.shape[-1:] != (2 * N,):
         raise ValueError("extended secrets must be rows of 512 int8, int16 or int32 lanes")
-    step = ext_rows.strides[-1]
-    return np.ndarray(ext_rows.shape[:-1] + (N + 1, N), ext_rows.dtype,
-                      ext_rows.data.toreadonly(), 0, ext_rows.strides[:-1] + (step, step))
+    cols = np.ascontiguousarray(ext_rows.T).reshape(2 * N, -1)
+    step, lane = cols.strides
+    return np.ndarray((N + 1, N, cols.shape[1]), cols.dtype, cols.data.toreadonly(), 0,
+                      (step, step, lane))
+
+
+# challenge index k selects the window starting at 256 - k
+_START = N - np.arange(N)
+_START.setflags(write=False)
 
 
 def _gather_product(index, ext_rows: np.ndarray) -> np.ndarray:
     """c*s for every row from one gather of all tau windows, in the rows' dtype.
 
-    Wrapping addition is associative, so summing the +1 and -1 windows
-    separately in int8 gives the same bytes as accumulating them one by one
-    in packed lanes. In the wider lanes the result is exact while tau times
-    the largest |entry| fits them, as `codec.signing_layout` ensures.
+    The gather copies tau contiguous 256 x rows blocks of the window-major
+    view; the +1 and -1 windows are summed over the window axis and the
+    (256, rows) difference is returned as its transpose, shaped like
+    `ext_rows` with 256 lanes, a view. Wrapping addition is associative,
+    so summing the windows separately in int8 gives the same bytes as
+    accumulating them one by one in packed lanes. In the wider lanes the
+    result is exact while tau times the largest |entry| fits them, as
+    `codec.signing_layout` ensures.
     """
+    ext_rows = np.asarray(ext_rows)
     index = np.asarray(index, dtype=np.uint8)
     poscnt = int(index[0])
-    # challenge index k selects the window starting at 256 - k
-    win = _window_view(ext_rows)[..., N - index[1:].astype(np.intp), :]
-    return (win[..., :poscnt, :].sum(axis=-2, dtype=win.dtype)
-            - win[..., poscnt:, :].sum(axis=-2, dtype=win.dtype))
+    win = _window_view(ext_rows)[_START[index[1:]]]
+    # an explicit dtype: with none, add.reduce promotes int8 to int64
+    prod = np.add.reduce(win[:poscnt], axis=0, dtype=win.dtype)
+    prod -= np.add.reduce(win[poscnt:], axis=0, dtype=win.dtype)
+    return prod.reshape((N,) + ext_rows.shape[-2::-1]).T
 
 
 def sparse_mul_branchless_vec(index, ext_rows: np.ndarray, tau: int) -> np.ndarray:
     """Branchless c*s for one extended secret or a whole stack of them.
 
     `ext_rows` is one row of shape (512,) or a stack (..., 512) of int8,
-    int16 or int32 lanes; the result, (256,) or (..., 256), has their
+    int16 or int32 lanes, read window-major (see `_window_view`: row-major
+    rows pay one copy); the result, (256,) or (..., 256), has their
     dtype, and one shared challenge index list drives all rows. The gather
     and both sums have shapes fixed by (poscnt, tau); secrets are touched
     only through public window offsets.
@@ -173,7 +196,8 @@ class FusedZ(NamedTuple):
 
 class FusedR0(NamedTuple):
     ok: bool
-    cs2: np.ndarray        # (m, 256) in the product's lanes: int8/int16, int64 on ntt
+    cs2: np.ndarray        # (m, 256) in the product's lanes: int8/int16, the .T view of
+                           # the gather's (256, m) sum; int64 on ntt
     blocks: int
 
 

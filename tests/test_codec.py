@@ -212,6 +212,24 @@ def test_sk_decode_returns_readonly_arrays(keypairs):
                 arr[0, 0] = 1
 
 
+def test_decoded_secrets_are_window_major_signing_layouts(keypairs):
+    # each (rows, 512) field is the .T view of its own C-contiguous (512, rows)
+    # array, so a c*s gather copies tau contiguous blocks and no row-major copy
+    for lv in LEVELS:
+        p = param_set(lv)
+        dec = codec.sk_decode_extended(keypairs[lv][1], p)
+        for ext, rows, bound in ((dec.s1_ext, p.l, p.eta), (dec.s2_ext, p.k, p.eta),
+                                 (dec.t0_ext, p.k, 1 << (D - 1))):
+            assert ext.shape == (rows, 2 * N)
+            assert ext.T.flags.c_contiguous and not ext.flags.writeable
+            s = ext[:, N:]
+            layout = codec.signing_layout(s, bound, p)
+            assert layout.dtype == ext.dtype and np.array_equal(layout, ext)
+            assert np.array_equal(ext, np.concatenate((-s, s), axis=-1))
+            if bound == p.eta:
+                assert np.array_equal(ext, sparse.extend_secret(s, p.eta))
+
+
 def test_key_decoders_return_one_cached_readonly_object(keypairs):
     for lv in LEVELS:
         p = param_set(lv)
@@ -420,13 +438,31 @@ def test_pack_bits_matches_bit_spreading_oracle(width):
             assert len(got) == (count * width + 7) // 8
 
 
+def _encode_hints_by_row(h, p):
+    """The hint section from np.nonzero's positions and per-row bincounts."""
+    rows, pos = np.nonzero(h)
+    buf = np.zeros(p.omega + p.k, dtype=np.uint8)
+    buf[:len(pos)] = pos
+    buf[p.omega:] = np.cumsum(np.bincount(rows, minlength=p.k))
+    return buf.tobytes()
+
+
 def test_encode_hints_matches_loop_oracle():
     rng = np.random.default_rng(20)
     for lv in LEVELS:
         p = param_set(lv)
-        for weight in [0, 1, p.omega] + rng.integers(0, p.omega + 1, 200).tolist():
-            h = _make_hints(rng, p, weight)
-            assert codec._encode_hints(h, p) == _encode_hints_oracle(h, p)
+        cases = [_make_hints(rng, p, weight)
+                 for weight in [0, 1, p.omega] + rng.integers(0, p.omega + 1, 200).tolist()]
+        # empty rows around hints packed into a few rows, up to weight omega
+        for rows in ([0], [p.k - 1], [1, p.k - 2], [0, p.k - 1]):
+            for weight in (1, p.omega - 1, p.omega, int(rng.integers(2, p.omega))):
+                h = np.zeros((p.k, N), dtype=np.uint8)
+                flat = rng.choice(len(rows) * N, weight, replace=False)
+                h[np.asarray(rows)[flat // N], flat % N] = 1
+                cases.append(h)
+        for h in cases:
+            want = _encode_hints_oracle(h, p)
+            assert codec._encode_hints(h, p) == want == _encode_hints_by_row(h, p)
         h = _make_hints(rng, p, p.omega + 1)
         with pytest.raises(ValueError, match="omega"):
             codec._encode_hints(h, p)
@@ -520,4 +556,8 @@ def test_signing_layout_matches_extend_secret():
         got = codec.signing_layout(s, p.eta, p)
         assert got.dtype == (np.int8 if p.challenge_fits_int8 else np.int16)
         assert np.array_equal(got, sparse.extend_secret(s, p.eta))
-        assert np.array_equal(codec.signing_layout(s[0], p.eta, p), got[0])
+        # one row and a stack of stacks are window-major too
+        for rows in (s[0], s.reshape(1, -1, N)):
+            layout = codec.signing_layout(rows, p.eta, p)
+            assert layout.T.flags.c_contiguous
+            assert np.array_equal(layout, sparse.extend_secret(rows, p.eta))

@@ -221,10 +221,49 @@ def test_window_view_of_non_contiguous_stack():
     rng = np.random.default_rng(9)
     ext = sparse.extend_secret(random_secret(rng, 2, (6, N)), 2)
     view = sparse._window_view(ext[::2])
+    # window-major: one (256, rows) block per window start
+    assert view.shape == (N + 1, N, 3)
     assert np.array_equal(view, sparse._window_view(np.ascontiguousarray(ext[::2])))
-    assert np.array_equal(view[:, N - 5], ext[::2, N - 5:2 * N - 5])    # window of index 5
+    assert np.array_equal(view[N - 5], ext[::2, N - 5:2 * N - 5].T)    # window of index 5
     assert not view.flags.writeable
     assert not sparse._window_view(ext).flags.writeable
+    # rows whose .T is C-contiguous are viewed in place; row-major rows pay one copy
+    window_major = np.ascontiguousarray(ext.T).T
+    assert np.shares_memory(sparse._window_view(window_major), window_major)
+    assert not np.shares_memory(sparse._window_view(ext), ext)
+    # a (2, 3) stack is viewed as its six rows, last axis first
+    stack = sparse._window_view(ext.reshape(2, 3, 2 * N))
+    assert stack.shape == (N + 1, N, 6)
+    assert np.array_equal(stack[N - 5].T.reshape(3, 2, N).transpose(1, 0, 2),
+                          ext.reshape(2, 3, 2 * N)[..., N - 5:2 * N - 5])
+
+
+# lanes and coefficient bound of each signing layout: secrets at levels 2 and 5,
+# at level 3, and t0
+_LANES = [(2, np.int8, 2), (3, np.int16, 4), (5, np.int8, 2), (2, np.int32, 1 << 12)]
+
+
+@given(st.sampled_from(_LANES), st.sampled_from([(), (3,), (2, 3)]),
+       st.integers(0, 2**32 - 1))
+def test_kernel_bytes_do_not_depend_on_memory_order(lanes, shape, seed):
+    level, dtype, bound = lanes
+    tau = param_set(level).tau
+    rng = np.random.default_rng(seed)
+    c = random_challenge(rng, tau)
+    idx = sparse.encode_challenge(c, tau)
+    s = rng.integers(-bound, bound + 1, shape + (N,)).astype(dtype)
+    row_major = np.concatenate((-s, s), axis=-1)
+    window_major = np.ascontiguousarray(row_major.T).T
+    strided = np.zeros(shape + (4 * N,), dtype)[..., ::2]
+    strided[...] = row_major
+    got = [sparse.sparse_mul_branchless_vec(idx, ext, tau)
+           for ext in (row_major, window_major, strided)]
+    for prod in got:
+        assert prod.shape == shape + (N,) and prod.dtype == dtype
+        assert prod.tobytes() == got[0].tobytes()
+    want = [sparse.sparse_mul_indexed(c, Poly(row.astype(np.int64) % Q)).coeffs
+            for row in s.reshape(-1, N)]
+    assert np.array_equal(lift(got[0]).reshape(-1, N), want)
 
 
 def test_level3_wrap_is_byte_exact():
