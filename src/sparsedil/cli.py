@@ -270,6 +270,23 @@ def _selftest_sections(levels, trials, rng):
             want = rounding.highbits(r, p.alpha)
             if not np.array_equal(got, want):
                 raise AssertionError("hint recovery failed")
+            # low = LowBits(r) gives the definition's bits up to |z| = alpha
+            w1, w0 = rounding.decompose(r, p.alpha)
+            z = rng.integers(-p.alpha, p.alpha + 1, r.size)
+            moved = rounding.highbits((r + z) % Q, p.alpha) != w1
+            if not np.array_equal(rounding.make_hint(z, r, p.alpha, low=w0), moved):
+                raise AssertionError("hint from LowBits(r) differs from its definition")
+            # the signer's form, r = w and z = c*t0 - c*s2 up to gamma2 + beta, on
+            # attempts that pass the r0 check: the verifier's w + z recovers w1
+            cs2 = rng.integers(-p.beta, p.beta + 1, r.size)
+            ct0 = rng.integers(-p.gamma2 + 1, p.gamma2, r.size)
+            ok = np.abs(w0 - cs2) < p.gamma2 - p.beta
+            w, w0, w1, z = r[ok], w0[ok], w1[ok], (ct0 - cs2)[ok]
+            h = rounding.make_hint(z, w, p.alpha, low=w0)
+            if not np.array_equal(h, rounding.make_hint(z, w, p.alpha)):
+                raise AssertionError("hint from LowBits(w) differs from the decomposing form")
+            if not np.array_equal(rounding.use_hint(h, (w + z) % Q, p.alpha), w1):
+                raise AssertionError("hint recovery of the signer's form failed")
 
         yield f"hint-recovery-level{level}", hint_recovery
 

@@ -7,7 +7,8 @@ time with DecodeError so verification can fail closed. Both bit-field
 kernels work on groups of g = 8/gcd(width, 8) fields, which fill g*width/8
 whole bytes. `pack_bits` pairs neighbouring fields into fields of twice the
 width while they fit a uint64, then ORs what is left of each group into
-little-endian words. `pack_w1` has its own narrow-word packer, as its
+little-endian words, whose low g*width/8 bytes it copies out as one void
+item per group. `pack_w1` has its own narrow-word packer, as its
 range check bounds every field: two 4-bit fields per uint8 with one
 shift-or, or four 6-bit fields per uint32 in two pairings, of which the
 three low bytes are kept. `unpack_bits`, the one unpacker, reads each
@@ -75,7 +76,8 @@ def pack_bits(values, width: int) -> bytes:
             words[:, word] |= cols[j] << shift
             if shift + w > 64:
                 words[:, word + 1] |= cols[j] >> (64 - shift)
-    image = words.view(np.uint8)[:, :g * w // 8]
+    # each group's bytes as one void item: the copy moves whole groups, not bytes
+    image = words.view(np.uint8)[:, :g * w // 8].view(f"V{g * w // 8}")
     return image.tobytes()[:(v.size * width + 7) // 8]
 
 

@@ -2,7 +2,10 @@
 
 All functions are vectorized over numpy integer arrays (any shape). Inputs
 to power2round and decompose must be canonical representatives in [0, q),
-and norm_inf_exceeds takes centered values.
+and norm_inf_exceeds takes centered values. make_hint takes r in [0, q)
+and a centered z with |z| < alpha; a caller that already holds LowBits(r)
+passes it as `low`, and r is then read only where the rule's tie needs
+HighBits(r).
 """
 
 import numpy as np
@@ -40,22 +43,36 @@ def highbits(r, alpha: int):
     return decompose(r, alpha)[0]
 
 
-def make_hint(z, r, alpha: int):
+def make_hint(z, r, alpha: int, low=None):
     """Hint bits: 1 where HighBits(r + z) != HighBits(r), for r in [0, q).
 
-    Precondition: z is centered with |z| <= alpha/2 (gamma2); past it the
-    rule below is not that definition. The signer passes r = w - c*s2 and
-    z = c*t0 once the c*t0 check has passed. The bits are symmetric: use_hint
+    Precondition: z is centered with |z| < alpha; past it the rule below is
+    not that definition. For |z| <= gamma2 the bits are symmetric: use_hint
     with them on either of r and r + z recovers the other's high part.
 
-    One decomposition of r, then the round-3 reference rule on
-    t = LowBits(r) + z: a hint where t > gamma2, t < -gamma2, or t == -gamma2
-    while HighBits(r) != 0.
+    `low`, when given, is LowBits(r), which the caller already holds; then
+    r is not decomposed. The signer passes r = w, low = LowBits(w) and
+    z = c*t0 - c*s2, which reaches gamma2 + beta, once its r0 and c*t0
+    checks have passed (see `scheme`). Without `low`, r is decomposed once.
+
+    The bits are the round-3 reference rule on t = LowBits(r) + z: a hint
+    where t > gamma2, t < -gamma2, or t == -gamma2 while HighBits(r) != 0.
+    Only that tie reads HighBits(r): at t == -gamma2, r + z is the top of
+    the bucket below r's, a change, unless r is in bucket 0, which the q-1
+    fold extends down to -gamma2. With `low` given, r is decomposed at the
+    tied coefficients alone, and most calls have none.
     """
-    r1, t = decompose(r, alpha)
-    t += z
     gamma2 = alpha // 2
-    return ((t > gamma2) | (t < -gamma2) | ((t == -gamma2) & (r1 != 0))).astype(np.uint8)
+    r1 = None
+    if low is None:
+        r1, low = decompose(r, alpha)
+    t = np.add(low, z, dtype=np.int64)
+    h = (t > gamma2) | (t < -gamma2)
+    tie = t == -gamma2
+    if tie.any():
+        tied_r1 = r1[tie] if r1 is not None else decompose(np.asarray(r)[tie], alpha)[0]
+        h[tie] = tied_r1 != 0
+    return h.astype(np.uint8)
 
 
 def use_hint(h, r, alpha: int):

@@ -31,6 +31,14 @@ attempts up to the accepted one. The loop calls its backend's two checks
 directly, computes c*t0 only once both pass, and enters a counting scope
 only when a trace is given.
 
+The tail of an attempt runs in the round-3 reference signer's order: c*t0,
+its check |c*t0| < gamma2, then MakeHint(w0 - c*s2 + c*t0, w1) as
+`make_hint(c*t0 - c*s2, w, alpha, low=w0)`. Neither (w - c*s2) mod q nor
+its decomposition is formed. The bits are those of the hint of c*t0 on
+w - c*s2: the r0 check has passed, so |w0 - c*s2| < gamma2 - beta keeps
+w - c*s2 in w's bucket, HighBits(w - c*s2) = HighBits(w) = w1 and
+LowBits(w - c*s2) = w0 - c*s2, the q-1 fold of bucket 0 included.
+
 A block makes one `expand_mask` call for its attempts 1.. and one
 `decompose` call for them, but attempt 0 gets a call of each on its own:
 its mask is the block's last `expand_mask` call and its w the block's
@@ -185,7 +193,7 @@ def sign(params: ParameterSet, sk: bytes, message: bytes,
                        else sparse_mul_branchless_vec(index, dec.t0_ext, tau))
                 checks.append("ct0")
                 if not norm_inf_exceeds(ct0, gamma2):
-                    h = make_hint(ct0, (w - r0.cs2) % Q, alpha)
+                    h = make_hint(ct0 - r0.cs2, w, alpha, low=w0)
                     checks.append("hint")
                     if hint_weight(h) <= params.omega:
                         if trace is not None:

@@ -24,7 +24,8 @@ from sparsedil import sampling, scheme
 from sparsedil.params import LEVELS, param_set
 
 MESSAGES = 16
-BUDGET = {2: 3684, 3: 3623, 5: 3504}    # package calls for MESSAGES signatures
+# level 3's messages meet one hint tie, where make_hint decomposes r at that coefficient
+BUDGET = {2: 3668, 3: 3608, 5: 3488}    # package calls for MESSAGES signatures
 VERIFY_BUDGET = {2: 832, 3: 832, 5: 832}   # package calls for MESSAGES verifies
 KEYGEN_BUDGET = {2: 1632, 3: 2176, 5: 3136}   # package calls for MESSAGES keygens
 

@@ -89,23 +89,65 @@ def _two_highbits_hint(z, r, alpha):
     return (highbits(r, alpha) != highbits((r + z) % Q, alpha)).astype(np.uint8)
 
 
+def _hint_grids(rng, alpha):
+    """(z, r) pairs with |z| <= alpha, the widest z that make_hint takes.
+
+    First random pairs, then every bucket edge and centre +-3 (q-1 = m*alpha,
+    the fold, is a centre) against z at and near 0, +-gamma2 and +-alpha.
+    """
+    gamma2 = alpha // 2
+    yield rng.integers(-alpha, alpha + 1, 200000), rng.integers(0, Q, 200000)
+    edges = np.arange(0, Q + alpha, alpha)[:, None] + [-gamma2, 0, gamma2]
+    r = np.unique((edges.reshape(-1, 1) + np.arange(-3, 4)) % Q)
+    z = np.concatenate([np.arange(-3, 4), np.arange(-gamma2 - 3, -gamma2 + 4),
+                        np.arange(gamma2 - 3, gamma2 + 4), np.arange(-alpha, -alpha + 4),
+                        np.arange(alpha - 3, alpha + 1)])
+    z, r = np.meshgrid(z, r)
+    yield z.reshape(-1), r.reshape(-1)
+
+
 def test_make_hint_matches_two_highbits_definition():
-    # make_hint decomposes r once and applies the reference rule, exact for
-    # |z| <= gamma2: random pairs, then every bucket edge and centre +-3
-    # (q-1 = m*alpha, the fold, is a centre) against z at and near 0 and +-gamma2
+    # the reference rule on LowBits(r) + z is exact up to |z| = alpha, past
+    # the signer's |c*t0 - c*s2| <= gamma2 + beta, whether make_hint
+    # decomposes r or is given low = LowBits(r) and reads r only at ties
     rng = np.random.default_rng(12)
     for alpha in ALPHAS:
         gamma2 = alpha // 2
-        r = rng.integers(0, Q, 200000)
-        z = rng.integers(-gamma2, gamma2 + 1, 200000)
-        assert np.array_equal(make_hint(z, r, alpha), _two_highbits_hint(z, r, alpha))
+        for z, r in _hint_grids(rng, alpha):
+            want = _two_highbits_hint(z, r, alpha)
+            r1, r0 = decompose(r, alpha)
+            assert np.array_equal(make_hint(z, r, alpha), want)
+            assert np.array_equal(make_hint(z, r, alpha, low=r0), want)
+        # the edge grid, the last one, holds ties LowBits(r) + z == -gamma2
+        # in the q-1 fold bucket, in bucket 0 and in the others
+        tie = r0 + z == -gamma2
+        assert np.any(tie & (r >= Q - gamma2)) and np.any(tie & (r <= gamma2))
+        assert np.any(tie & (r1 != 0))
 
-        edges = np.arange(0, Q + alpha, alpha)[:, None] + [-gamma2, 0, gamma2]
-        r = np.unique((edges.reshape(-1, 1) + np.arange(-3, 4)) % Q)
-        z = np.concatenate([np.arange(-3, 4), np.arange(-gamma2, -gamma2 + 4),
-                            np.arange(gamma2 - 3, gamma2 + 1)])
-        r, z = (a.reshape(-1) for a in np.meshgrid(r, z))
-        assert np.array_equal(make_hint(z, r, alpha), _two_highbits_hint(z, r, alpha))
+
+def test_make_hint_decomposes_at_most_once(monkeypatch):
+    from sparsedil import rounding
+    calls = []
+    real = rounding.decompose
+
+    def counted(r, alpha):
+        calls.append(np.size(r))
+        return real(r, alpha)
+
+    monkeypatch.setattr(rounding, "decompose", counted)
+    alpha = ALPHAS[0]
+    gamma2 = alpha // 2
+    r = np.array([gamma2 + 5, 3 * alpha, Q - 2, 7])        # Q - 2 is in the fold
+    r0 = real(r, alpha)[1]
+    tied = np.array([-gamma2 - r0[0], 0, -gamma2 - r0[2], 0])
+    for z, want in ((np.zeros_like(r), []), (tied, [2])):
+        calls.clear()
+        h = make_hint(z, r, alpha, low=r0)
+        assert calls == want            # with low, r is decomposed at the ties alone
+        calls.clear()
+        assert np.array_equal(make_hint(z, r, alpha), h)
+        assert calls == [4]             # without, all of r once; its r1 serves the ties
+    assert h.tolist() == [1, 0, 0, 0]   # the fold's tie keeps HighBits 0: no hint
 
 
 def _dense_use_hint(h, r, alpha):

@@ -404,6 +404,55 @@ def test_accepted_r0_max_is_lowbits_of_w_minus_cs2(keypairs, params):
         assert tr.accepted_r0_max == int(np.abs(r0).max()) < params.gamma2 - params.beta
 
 
+def test_signer_hint_from_lowbits_of_w_equals_hint_of_w_minus_cs2(params):
+    # constructed attempts that pass the r0 and c*t0 checks: w on bucket
+    # edges and centres (the q-1 fold included), c*s2 at -beta and +beta,
+    # c*t0 near 0, +-gamma2 and at the ties LowBits(w) - c*s2 + c*t0 == -gamma2
+    alpha, gamma2, beta = params.alpha, params.gamma2, params.beta
+    lanes = np.int16 if params.level == 3 else np.int8
+    edges = np.arange(0, Q + alpha, alpha)[:, None] + [-gamma2, -gamma2 + 2 * beta, 0,
+                                                       gamma2 - 2 * beta, gamma2]
+    w = np.unique((edges.reshape(-1, 1) + np.arange(-3, 4)) % Q)
+    w1, w0 = rounding.decompose(w, alpha)
+    olds, news = [], []
+    for cs2 in (-beta, beta):
+        passed = np.abs(w0 - cs2) < gamma2 - beta
+        wp, w0p = w[passed], w0[passed]
+        ct0s = [np.full_like(wp, v) for v in (0, 1, -1, gamma2 - 1, -gamma2 + 1)]
+        tied = np.clip(-gamma2 - (w0p - cs2), -gamma2 + 1, gamma2 - 1)
+        ct0s.append(tied)
+        for ct0 in ct0s:
+            ct0 = ct0.astype(np.int32)
+            cs2_v = np.full(wp.shape, cs2, lanes)
+            news.append(rounding.make_hint(ct0 - cs2_v, wp, alpha, low=w0p))
+            olds.append(rounding.make_hint(ct0, (wp - cs2_v) % Q, alpha))
+        # ties in the q-1 fold, where HighBits(w) is 0, and outside bucket 0
+        tie = w0p - cs2 + tied == -gamma2
+        assert np.any(tie & (wp >= Q - gamma2)) and np.any(tie & (w1[passed] != 0))
+    assert np.array_equal(np.concatenate(news), np.concatenate(olds))
+    assert np.concatenate(news).any()
+
+
+# Mean attempts per signature in the round-3 analysis
+ROUND3_ATTEMPTS = {2: 4.25, 3: 5.1, 5: 3.85}
+
+
+def test_mean_attempts_per_signature_matches_round3(params):
+    # attempts are geometric with p = 1 / mean: over n signatures the mean
+    # has standard error sqrt((1 - p) / p**2 / n); fixed keys and messages
+    attempts = []
+    for key in range(6):
+        _, sk = scheme.keygen(params, bytes([key, params.level]) * 16)
+        for i in range(100):
+            tr = SignTrace()
+            scheme.sign(params, sk, b"attempts %d" % i, trace=tr)
+            attempts.append(tr.restarts + 1)
+    expected = ROUND3_ATTEMPTS[params.level]
+    p = 1 / expected
+    stderr = np.sqrt((1 - p) / p**2 / len(attempts))
+    assert abs(np.mean(attempts) - expected) < 4 * stderr, (np.mean(attempts), expected, stderr)
+
+
 def test_byte_like_keys_sign_and_verify(keypairs, params):
     pk, sk = keypairs[params.level]
     msg = b"byte-like keys"
