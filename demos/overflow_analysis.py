@@ -11,10 +11,11 @@ Run:  python demos/overflow_analysis.py
 
 import numpy as np
 
-from sparsedil import analysis, codec, param_set
+from sparsedil import analysis, param_set
 from sparsedil.params import Q
 from sparsedil.ring import Poly
-from sparsedil.sparse import encode_challenge, extend_secret, sparse_mul_branchless, sparse_mul_indexed
+from sparsedil.sparse import (encode_challenge, extend_secret, signing_layout,
+                              sparse_mul_branchless, sparse_mul_indexed)
 
 for level in (2, 3, 5):
     p = param_set(level)
@@ -55,6 +56,6 @@ i = int(np.argmax(centered))
 print(f"true coefficient {centered[i]} stored in a byte lane as {byte_prod[i]} "
       f"(wrapped by 256)")
 signing_prod = sparse_mul_branchless(encode_challenge(c, p.tau),
-                                     codec.signing_layout(s, p.eta, p), p.tau)
+                                     signing_layout(s, p.eta, p.tau), p.tau)
 print(f"the level-3 signing layout ({signing_prod.dtype} lanes) holds it exactly: "
       f"{signing_prod[i]}")

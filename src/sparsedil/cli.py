@@ -195,7 +195,7 @@ def _selftest_sections(levels, trials, rng):
                     raise AssertionError("index-based product disagrees with schoolbook")
                 idx = sparse.encode_challenge(c, p.tau)
                 # the lanes the signer multiplies must be exact at every level
-                signing = codec.signing_layout(s, p.eta, p)
+                signing = sparse.signing_layout(s, p.eta, p.tau)
                 got = sparse.sparse_mul_branchless(idx, signing, p.tau).astype(np.int64) % Q
                 if not np.array_equal(want, got):
                     raise AssertionError(
@@ -215,7 +215,7 @@ def _selftest_sections(levels, trials, rng):
                     t0 = ring.Poly(np.full(N, 1 << (D - 1)))
                     want = ring.schoolbook_negacyclic(ring.Poly(c.astype(np.int64) % Q), t0).coeffs
                     got = sparse.sparse_mul_branchless(
-                        idx, codec.signing_layout(t0.coeffs, 1 << (D - 1), p), p.tau)
+                        idx, sparse.signing_layout(t0.coeffs, 1 << (D - 1), p.tau), p.tau)
                     if not np.array_equal(want, got.astype(np.int64) % Q):
                         raise AssertionError("t0 lane product disagrees with schoolbook")
 

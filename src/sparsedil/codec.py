@@ -17,14 +17,9 @@ and masks, in uint32, and returns the fields as int32, the dtype every
 object decoder keeps (z, t0, t1 and the secrets all fit it).
 
 The private-key decoder deviates from the classic in-memory shape on
-purpose: s1, s2 and t0 come back already widened to the 512-entry (-v, v)
-layout of the branchless multiplier, so a signing loop never re-derives
-them across restarts. `signing_layout` picks each lane type from tau times
-the coefficient bound, so every signing product is exact: int8 for the
-secrets at levels 2 and 5, int16 at level 3, int32 for t0. It stores each
-field window-major, as the `.T` view of its own C-contiguous (512, rows)
-array: a challenge window is then one contiguous block for the gather,
-and `ext[j, 256:]` still reads row j's coefficients. Both key decoders
+purpose: s1, s2 and t0 come back already widened by
+`sparse.signing_layout`, so a signing loop never re-derives them across
+restarts. Both key decoders
 are memoized per key like `expand_a`, with read-only results: up to 16
 decoded secret keys stay resident until evicted or `cache_clear()`. A lock
 per decoder serializes its calls, so threads that miss on one key together
@@ -45,6 +40,7 @@ import numpy as np
 from .keccak import shake256
 from .params import D, LEVELS, N, Q, ParameterSet, param_set
 from .ring import center
+from .sparse import signing_layout
 
 
 class DecodeError(ValueError):
@@ -308,36 +304,16 @@ class DecodedSecret:
     rho: bytes
     key: bytes
     tr: bytes
-    # each is the .T view of its own C-contiguous (512, rows) array (window-major)
-    s1_ext: np.ndarray      # (l, 512) rows in (-s, s) layout; int8, int16 at level 3
+    # each is its own sparse.signing_layout
+    s1_ext: np.ndarray      # (l, 512) int8, int16 at level 3
     s2_ext: np.ndarray      # (k, 512) same lanes as s1_ext
-    t0_ext: np.ndarray      # (k, 512) rows in (-t0, t0) layout; int32
+    t0_ext: np.ndarray      # (k, 512) int32
 
 
 def sk_encode(rho: bytes, key: bytes, tr: bytes, s1, s2, t0,
               params: ParameterSet) -> bytes:
     s = np.concatenate((np.reshape(s1, (-1, N)), np.reshape(s2, (-1, N))))
     return rho + key + tr + pack_eta(s, params.eta) + pack_t0(t0)
-
-
-def signing_layout(s, bound: int, params: ParameterSet) -> np.ndarray:
-    """Rows (..., 256) in the extended (-s, s) layout the signer multiplies.
-
-    `s` must already lie in [-bound, bound], as the unpackers guarantee;
-    unlike `sparse.extend_secret`, this does not check it again. The lanes
-    are the narrowest of int8, int16 and int32 that hold tau*bound, so each
-    window sum and their difference, |c*s| <= tau*bound, is exact. The
-    (..., 512) rows are stored window-major: they are the `.T` view of a
-    C-contiguous (512, rows) array, built with one transposing copy of
-    `s.T` into its +s half and one contiguous negation into its -s half.
-    """
-    top = params.tau * bound
-    s = np.asarray(s)
-    ext = np.empty((2 * N,) + s.shape[-2::-1],
-                   np.int8 if top < 2**7 else np.int16 if top < 2**15 else np.int32)
-    ext[N:] = s.T
-    np.negative(ext[N:], out=ext[:N])
-    return ext.T
 
 
 @_memoized_decoder
@@ -354,9 +330,9 @@ def sk_decode_extended(sk: bytes, params: ParameterSet) -> DecodedSecret:
     off = 96 + (params.l + params.k) * eta_packed_bytes(params.eta)
     s = unpack_eta(sk[96:off], params.l + params.k, params.eta)
     s1_ext, s2_ext, t0_ext = (
-        signing_layout(s[:params.l], params.eta, params),
-        signing_layout(s[params.l:], params.eta, params),
-        signing_layout(unpack_t0(sk[off:], params.k), 1 << (D - 1), params))
+        signing_layout(s[:params.l], params.eta, params.tau),
+        signing_layout(s[params.l:], params.eta, params.tau),
+        signing_layout(unpack_t0(sk[off:], params.k), 1 << (D - 1), params.tau))
     for arr in (s1_ext, s2_ext, t0_ext):
         arr.setflags(write=False)
     return DecodedSecret(rho=sk[:32], key=sk[32:64], tr=sk[64:96],

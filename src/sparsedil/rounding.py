@@ -90,10 +90,6 @@ def use_hint(h, r, alpha: int):
     return r1
 
 
-def hint_weight(h) -> int:
-    return int(np.count_nonzero(np.asarray(h)))
-
-
 def norm_inf_exceeds(v, bound: int) -> bool:
     """True iff any coefficient magnitude of the centered `v` is >= bound.
 

@@ -58,8 +58,7 @@ from . import codec, instrumentation
 from .keccak import shake256
 from .params import N, Q, ParameterSet
 from .ring import center, intt_values, matvec_hat, ntt_product, ntt_values
-from .rounding import (decompose, hint_weight, make_hint, norm_inf_exceeds,
-                       power2round, use_hint)
+from .rounding import decompose, make_hint, norm_inf_exceeds, power2round, use_hint
 from .sampling import expand_a, expand_mask, expand_s, sample_in_ball
 from .sparse import (encode_challenge, fused_r0, fused_z, r0_check,
                      sparse_mul_branchless_vec, z_check)
@@ -176,7 +175,7 @@ def sign(params: ParameterSet, sk: bytes, message: bytes,
                 if check == "z":
                     z = (z_check(y, _ntt_cs(c_hat, s1_hat), z_bound) if ntt
                          else fused_z(index, dec.s1_ext, y, z_bound))
-                    ok = z.ok
+                    ok = not z.rejected
                 else:
                     r0 = (r0_check(w0, _ntt_cs(c_hat, s2_hat), gamma2, r0_bound) if ntt
                           else fused_r0(index, dec.s2_ext, w0, gamma2, r0_bound))
@@ -195,7 +194,7 @@ def sign(params: ParameterSet, sk: bytes, message: bytes,
                 if not norm_inf_exceeds(ct0, gamma2):
                     h = make_hint(ct0 - r0.cs2, w, alpha, low=w0)
                     checks.append("hint")
-                    if hint_weight(h) <= params.omega:
+                    if np.count_nonzero(h) <= params.omega:
                         if trace is not None:
                             trace.accepted_z_max = int(np.max(np.abs(z.z)))
                             trace.accepted_r0_max = int(np.max(np.abs(w0 - r0.cs2)))

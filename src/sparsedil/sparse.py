@@ -8,31 +8,32 @@ extended layout (-s_0..-s_255, s_0..s_255) so that for every challenge
 index k the contribution to all 256 output coefficients is the contiguous
 window ext[256-k .. 511-k], negacyclic signs included.
 
+One function, `_extended`, builds that layout. Its (..., 512) rows are the
+`.T` view of a C-contiguous (512, rows) array, window-major: the window of
+index k is one contiguous 256 x rows block, and `ext[j, 256:]` still reads
+row j's coefficients. `extend_secret` checks a secret's range and gives
+the paper's int8 lanes. `signing_layout`, which every decoded key holds,
+picks the narrowest lanes that hold tau times the coefficient bound, so
+every signing product is exact: int8 for the secrets at levels 2 and 5,
+int16 at level 3 (tau*eta = 196 can wrap a byte), and int32 for t0
+(every sum is at most tau*2^12 <= 245,760).
+
 The production kernel, `sparse_mul_branchless_vec` (also bound as
-`sparse_mul_branchless`), takes one extended row or any stack of rows.
-It reads them window-major, as a (512, rows) array, so the window of
-index k is one contiguous 256 x rows block: `codec.signing_layout`, and
-so every decoded key, stores the rows as the `.T` view of such an array,
-and any other input (row-major rows from `extend_secret`, strided rows)
-is copied into that form once per call. The kernel gathers the tau
+`sparse_mul_branchless`), takes one extended row or any stack of rows. It
+reads them window-major in place; any other input (row-major or strided
+rows) is copied into that form once per call. The kernel gathers the tau
 windows in one fancy-index read of a strided (257, 256, rows) view, sums
 the +1 windows and the -1 windows over the window axis in the lanes' own
 dtype, wrapping, and returns the (256, rows) difference as its (rows,
 256) transpose, a view. Its shapes depend only on (poscnt, tau), both
-public. `extend_secret` gives the paper's int8 lanes; wrapping addition
-is associative, so their bytes equal those of the paper's packed-lane
-(SWAR) accumulation on 32-bit words of four signed bytes;
-`packed_add_lanes`/`packed_sub_lanes` reproduce that arithmetic and are
-the kernel's test oracle. Where tau*eta <= 127
-(levels 2 and 5) int8 is exact; at level 3 (196) a byte lane can wrap,
-so the signing layout (`codec.signing_layout`) widens level-3 rows to
-int16, on which every partial sum is exact. The same kernel computes
-c*t0 on int32 rows: |t0| <= 2^12, so every sum is at most tau*2^12 <=
-245,760. The fused kernels gather c*s1 (or c*s2) for the whole vector at
-once and run the z (or r0) check on it: z = y + c*s1 is one int64 add,
-and |LowBits(w) - c*s2| is taken in place on the difference. The signer
-runs one of them first, so an attempt that fails that check never
-computes the other product.
+public. Wrapping addition is associative, so int8 results equal the
+bytes of the paper's packed-lane (SWAR) accumulation on 32-bit words of
+four signed bytes; `packed_add_lanes`/`packed_sub_lanes` reproduce that
+arithmetic and are the kernel's test oracle. The fused kernels gather
+c*s1 (or c*s2) for the whole vector at once and run the z (or r0) check
+on it: z = y + c*s1 is one int64 add, and |LowBits(w) - c*s2| is taken
+in place on the difference. The signer runs one of them first, so an
+attempt that fails that check never computes the other product.
 """
 
 from typing import NamedTuple
@@ -82,19 +83,44 @@ def encode_challenge(c, tau: int) -> np.ndarray:
     return index
 
 
+def _extended(s, lanes) -> np.ndarray:
+    """Rows (..., 256) widened to (..., 512) rows of the (-s, s) layout in `lanes`.
+
+    The rows are the `.T` view of a C-contiguous (512, rows) array, built
+    with one transposing copy of `s.T` into its +s half and one contiguous
+    negation into its -s half.
+    """
+    s = np.asarray(s)
+    ext = np.empty((2 * N,) + s.shape[-2::-1], lanes)
+    ext[N:] = s.T
+    np.negative(ext[N:], out=ext[:N])
+    return ext.T
+
+
 def extend_secret(s, eta: int) -> np.ndarray:
     """Widen small secret polynomials to the 512-entry (-s, s) int8 layout.
 
     Accepts one polynomial or any stack of them, shape (..., 256), and
-    returns shape (..., 512).
+    returns shape (..., 512), window-major.
     """
     s = np.asarray(s)
     if s.shape[-1:] != (N,):
         raise ValueError(f"secret must have {N} coefficients")
     if np.any((s < -eta) | (s > eta)):
         raise ValueError(f"secret coefficient outside [-{eta}, {eta}]")
-    s = s.astype(np.int8)
-    return np.concatenate((-s, s), axis=-1)
+    return _extended(s, np.int8)
+
+
+def signing_layout(s, bound: int, tau: int) -> np.ndarray:
+    """Rows (..., 256) in the extended layout the signer multiplies, window-major.
+
+    `s` must already lie in [-bound, bound], as the unpackers guarantee;
+    unlike `extend_secret`, this does not check it again. The lanes are the
+    narrowest of int8, int16 and int32 that hold tau*bound, so each window
+    sum and their difference, |c*s| <= tau*bound, is exact.
+    """
+    top = tau * bound
+    return _extended(s, np.int8 if top < 2**7 else np.int16 if top < 2**15 else np.int32)
 
 
 def sparse_mul_indexed(c, a: Poly) -> Poly:
@@ -125,10 +151,10 @@ def _window_view(ext_rows: np.ndarray) -> np.ndarray:
     its trailing axes flattened, so entry [256-k] is the contiguous
     256 x rows block ext[..., 256-k .. 511-k].T of challenge index k.
     Nothing is copied when `ext_rows.T` is C-contiguous, as it is for
-    `codec.signing_layout` and so for every decoded key; any other input
-    (row-major rows from `extend_secret`, strided rows) pays one copy into
-    that form. Lanes are int8 (the paper's byte lanes), int16 (exact for
-    every tau*eta of Dilithium) or int32 (exact for t0).
+    every row `_extended` builds; any other input (row-major or strided
+    rows) pays one copy into that form. Lanes are int8 (the paper's byte
+    lanes), int16 (exact for every tau*eta of Dilithium) or int32 (exact
+    for t0).
     """
     if ext_rows.dtype not in (np.int8, np.int16, np.int32) or ext_rows.shape[-1:] != (2 * N,):
         raise ValueError("extended secrets must be rows of 512 int8, int16 or int32 lanes")
@@ -153,7 +179,7 @@ def _gather_product(index, ext_rows: np.ndarray) -> np.ndarray:
     so summing the windows separately in int8 gives the same bytes as
     accumulating them one by one in packed lanes. In the wider lanes the
     result is exact while tau times the largest |entry| fits them, as
-    `codec.signing_layout` ensures.
+    `signing_layout` ensures.
     """
     ext_rows = np.asarray(ext_rows)
     index = np.asarray(index, dtype=np.uint8)
@@ -169,7 +195,7 @@ def sparse_mul_branchless_vec(index, ext_rows: np.ndarray, tau: int) -> np.ndarr
     """Branchless c*s for one extended secret or a whole stack of them.
 
     `ext_rows` is one row of shape (512,) or a stack (..., 512) of int8,
-    int16 or int32 lanes, read window-major (see `_window_view`: row-major
+    int16 or int32 lanes, read window-major (see `_window_view`: other
     rows pay one copy); the result, (256,) or (..., 256), has their
     dtype, and one shared challenge index list drives all rows. The gather
     and both sums have shapes fixed by (poscnt, tau); secrets are touched
@@ -188,10 +214,6 @@ class FusedZ(NamedTuple):
     z: np.ndarray          # (m, 256) int64, y + c*s1
     rejected: bool
     blocks: int            # 16-coefficient blocks accumulated, all m rows
-
-    @property
-    def ok(self) -> bool:
-        return not self.rejected
 
 
 class FusedR0(NamedTuple):

@@ -213,8 +213,8 @@ def test_sk_decode_returns_readonly_arrays(keypairs):
 
 
 def test_decoded_secrets_are_window_major_signing_layouts(keypairs):
-    # each (rows, 512) field is the .T view of its own C-contiguous (512, rows)
-    # array, so a c*s gather copies tau contiguous blocks and no row-major copy
+    # each field is the signing layout of its own coefficients, window-major, so
+    # a c*s gather copies tau contiguous blocks and no row-major copy
     for lv in LEVELS:
         p = param_set(lv)
         dec = codec.sk_decode_extended(keypairs[lv][1], p)
@@ -222,12 +222,8 @@ def test_decoded_secrets_are_window_major_signing_layouts(keypairs):
                                  (dec.t0_ext, p.k, 1 << (D - 1))):
             assert ext.shape == (rows, 2 * N)
             assert ext.T.flags.c_contiguous and not ext.flags.writeable
-            s = ext[:, N:]
-            layout = codec.signing_layout(s, bound, p)
+            layout = sparse.signing_layout(ext[:, N:], bound, p.tau)
             assert layout.dtype == ext.dtype and np.array_equal(layout, ext)
-            assert np.array_equal(ext, np.concatenate((-s, s), axis=-1))
-            if bound == p.eta:
-                assert np.array_equal(ext, sparse.extend_secret(s, p.eta))
 
 
 def test_key_decoders_return_one_cached_readonly_object(keypairs):
@@ -543,21 +539,3 @@ def test_sk_decode_rejects_out_of_range_secret_fields(keypairs):
             bad[off] = 0xFF
             with pytest.raises(codec.DecodeError, match="secret"):
                 codec.sk_decode_extended(bytes(bad), p)
-
-
-def test_signing_layout_matches_extend_secret():
-    # signing_layout trusts its input's range (unpack_eta checked it) and
-    # otherwise builds the layout that extend_secret builds, in the lane width
-    rng = np.random.default_rng(15)
-    for lv in LEVELS:
-        p = param_set(lv)
-        s = rng.integers(-p.eta, p.eta + 1, (p.l + p.k, N))
-        s[0, :2] = (-p.eta, p.eta)
-        got = codec.signing_layout(s, p.eta, p)
-        assert got.dtype == (np.int8 if p.challenge_fits_int8 else np.int16)
-        assert np.array_equal(got, sparse.extend_secret(s, p.eta))
-        # one row and a stack of stacks are window-major too
-        for rows in (s[0], s.reshape(1, -1, N)):
-            layout = codec.signing_layout(rows, p.eta, p)
-            assert layout.T.flags.c_contiguous
-            assert np.array_equal(layout, sparse.extend_secret(rows, p.eta))

@@ -2,8 +2,8 @@ import numpy as np
 
 from sparsedil.params import D, LEVELS, Q, param_set
 from sparsedil.ring import center
-from sparsedil.rounding import (decompose, highbits, hint_weight, make_hint,
-                                norm_inf_exceeds, power2round, use_hint)
+from sparsedil.rounding import (decompose, highbits, make_hint, norm_inf_exceeds,
+                                power2round, use_hint)
 from sparsedil.sparse import r0_check
 
 ALPHAS = sorted({param_set(lv).alpha for lv in LEVELS})
@@ -318,10 +318,3 @@ def test_norm_inf_exceeds_matches_centered_magnitude():
             v = np.array([0, sign * 100], dtype=dt)
             assert norm_inf_exceeds(v, 100) and not norm_inf_exceeds(v, 101)
     assert not norm_inf_exceeds(np.zeros(0, dtype=np.int64), 1)
-
-
-def test_hint_weight():
-    h = np.zeros((4, 256), dtype=np.uint8)
-    h[1, 10] = 1
-    h[3, 200] = 1
-    assert hint_weight(h) == 2

@@ -104,6 +104,39 @@ def test_extend_secret_range_check():
         sparse.extend_secret(s, 2)
 
 
+def test_signing_layout_matches_extend_secret():
+    # signing_layout trusts its input's range (unpack_eta checked it) and
+    # otherwise builds the layout that extend_secret builds, in the lane width
+    rng = np.random.default_rng(15)
+    for lv in LEVELS:
+        p = param_set(lv)
+        s = rng.integers(-p.eta, p.eta + 1, (p.l + p.k, N))
+        s[0, :2] = (-p.eta, p.eta)
+        got = sparse.signing_layout(s, p.eta, p.tau)
+        assert got.dtype == (np.int8 if p.challenge_fits_int8 else np.int16)
+        assert np.array_equal(got, sparse.extend_secret(s, p.eta))
+        # one row and a stack of stacks are window-major too
+        for rows in (s[0], s.reshape(1, -1, N)):
+            layout = sparse.signing_layout(rows, p.eta, p.tau)
+            assert layout.T.flags.c_contiguous
+            assert np.array_equal(layout, sparse.extend_secret(rows, p.eta))
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (2, 3)], ids=["row", "rows", "stack"])
+def test_built_rows_are_read_in_place(shape):
+    # both builders return rows whose .T is C-contiguous, so the gather's
+    # window view is taken without a copy, in every lane width
+    rng = np.random.default_rng(16)
+    s = random_secret(rng, 2, shape + (N,))
+    built = [sparse.extend_secret(s, 2)]
+    built += [sparse.signing_layout(s, bound, 39) for bound in (2, 4, 1 << 12)]
+    assert [ext.dtype for ext in built] == [np.int8, np.int8, np.int16, np.int32]
+    for ext in built:
+        assert ext.shape == shape + (2 * N,) and ext.T.flags.c_contiguous
+        assert np.shares_memory(sparse._window_view(ext), ext)
+        assert np.array_equal(ext, np.concatenate((-s, s), axis=-1))
+
+
 # ---------------------------------------------------------------------------
 # index-based multiplication (mid-level oracle)
 
@@ -228,9 +261,9 @@ def test_window_view_of_non_contiguous_stack():
     assert not view.flags.writeable
     assert not sparse._window_view(ext).flags.writeable
     # rows whose .T is C-contiguous are viewed in place; row-major rows pay one copy
-    window_major = np.ascontiguousarray(ext.T).T
-    assert np.shares_memory(sparse._window_view(window_major), window_major)
-    assert not np.shares_memory(sparse._window_view(ext), ext)
+    assert np.shares_memory(sparse._window_view(ext), ext)
+    row_major = np.ascontiguousarray(ext)
+    assert not np.shares_memory(sparse._window_view(row_major), row_major)
     # a (2, 3) stack is viewed as its six rows, last axis first
     stack = sparse._window_view(ext.reshape(2, 3, 2 * N))
     assert stack.shape == (N + 1, N, 6)
