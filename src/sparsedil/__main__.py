@@ -1,0 +1,8 @@
+"""`python -m sparsedil`: the `sparsedil` command line, without an install."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -180,6 +180,8 @@ def sample_in_ball(seed: bytes, tau: int) -> np.ndarray:
     next stream byte not above the running position. The coefficients are
     int8 bytes (-1 is 0xFF), and the tau-th placement ends the scan.
     """
+    if not 1 <= tau <= N:
+        raise ValueError(f"challenge weight tau must lie in 1..{N}, not {tau}")
     count = _BALL_BYTES
     while True:
         buf = shake256(seed, count)

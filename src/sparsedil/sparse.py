@@ -19,9 +19,8 @@ int16 at level 3 (tau*eta = 196 can wrap a byte), and int32 for t0
 (every sum is at most tau*2^12 <= 245,760).
 
 The production kernel, `sparse_mul_branchless_vec` (also bound as
-`sparse_mul_branchless`), takes one extended row or any stack of rows. It
-reads them window-major in place; any other input (row-major or strided
-rows) is copied into that form once per call. The kernel gathers the tau
+`sparse_mul_branchless`), takes one extended row or any stack of rows and
+reads them window-major in place. The kernel gathers the tau
 windows in one fancy-index read of a strided (257, 256, rows) view, sums
 the +1 windows and the -1 windows over the window axis in the lanes' own
 dtype, wrapping, and returns the (256, rows) difference as its (rows,
@@ -90,7 +89,6 @@ def _extended(s, lanes) -> np.ndarray:
     with one transposing copy of `s.T` into its +s half and one contiguous
     negation into its -s half.
     """
-    s = np.asarray(s)
     ext = np.empty((2 * N,) + s.shape[-2::-1], lanes)
     ext[N:] = s.T
     np.negative(ext[N:], out=ext[:N])
@@ -104,8 +102,8 @@ def extend_secret(s, eta: int) -> np.ndarray:
     returns shape (..., 512), window-major.
     """
     s = np.asarray(s)
-    if s.shape[-1:] != (N,):
-        raise ValueError(f"secret must have {N} coefficients")
+    if s.dtype.kind not in "iu" or s.shape[-1:] != (N,):
+        raise ValueError(f"secret must have {N} integer coefficients")
     if np.any((s < -eta) | (s > eta)):
         raise ValueError(f"secret coefficient outside [-{eta}, {eta}]")
     return _extended(s, np.int8)
@@ -120,6 +118,8 @@ def signing_layout(s, bound: int, tau: int) -> np.ndarray:
     sum and their difference, |c*s| <= tau*bound, is exact.
     """
     top = tau * bound
+    if top >= 2**31:
+        raise ValueError(f"tau * bound = {top} does not fit int32 lanes")
     return _extended(s, np.int8 if top < 2**7 else np.int16 if top < 2**15 else np.int32)
 
 
@@ -150,15 +150,14 @@ def _window_view(ext_rows: np.ndarray) -> np.ndarray:
     The rows are read window-major: `ext_rows.T` as a (512, rows) array,
     its trailing axes flattened, so entry [256-k] is the contiguous
     256 x rows block ext[..., 256-k .. 511-k].T of challenge index k.
-    Nothing is copied when `ext_rows.T` is C-contiguous, as it is for
-    every row `_extended` builds; any other input (row-major or strided
-    rows) pays one copy into that form. Lanes are int8 (the paper's byte
-    lanes), int16 (exact for every tau*eta of Dilithium) or int32 (exact
-    for t0).
+    Nothing is copied: `ext_rows.T` must be C-contiguous, as it is for
+    every row `_extended` builds. Lanes are int8 (the paper's byte lanes),
+    int16 (exact for every tau*eta of Dilithium) or int32 (exact for t0).
     """
-    if ext_rows.dtype not in (np.int8, np.int16, np.int32) or ext_rows.shape[-1:] != (2 * N,):
-        raise ValueError("extended secrets must be rows of 512 int8, int16 or int32 lanes")
-    cols = np.ascontiguousarray(ext_rows.T).reshape(2 * N, -1)
+    if not (isinstance(ext_rows, np.ndarray) and ext_rows.T.flags.c_contiguous
+            and ext_rows.dtype in (np.int8, np.int16, np.int32) and ext_rows.shape[-1:] == (2 * N,)):
+        raise ValueError("extended secrets must be window-major rows of 512 int8/16/32 lanes")
+    cols = ext_rows.T.reshape(2 * N, -1)
     step, lane = cols.strides
     return np.ndarray((N + 1, N, cols.shape[1]), cols.dtype, cols.data.toreadonly(), 0,
                       (step, step, lane))
@@ -181,8 +180,9 @@ def _gather_product(index, ext_rows: np.ndarray) -> np.ndarray:
     result is exact while tau times the largest |entry| fits them, as
     `signing_layout` ensures.
     """
-    ext_rows = np.asarray(ext_rows)
-    index = np.asarray(index, dtype=np.uint8)
+    if not (isinstance(index, np.ndarray) and index.dtype == np.uint8 and index.ndim == 1
+            and index.size and index[0] < index.size):
+        raise ValueError("index list must be uint8 with its +1 count below its length")
     poscnt = int(index[0])
     win = _window_view(ext_rows)[_START[index[1:]]]
     # an explicit dtype: with none, add.reduce promotes int8 to int64
@@ -195,11 +195,11 @@ def sparse_mul_branchless_vec(index, ext_rows: np.ndarray, tau: int) -> np.ndarr
     """Branchless c*s for one extended secret or a whole stack of them.
 
     `ext_rows` is one row of shape (512,) or a stack (..., 512) of int8,
-    int16 or int32 lanes, read window-major (see `_window_view`: other
-    rows pay one copy); the result, (256,) or (..., 256), has their
-    dtype, and one shared challenge index list drives all rows. The gather
-    and both sums have shapes fixed by (poscnt, tau); secrets are touched
-    only through public window offsets.
+    int16 or int32 lanes, read window-major in place (see `_window_view`);
+    the result, (256,) or (..., 256), has their dtype, and one shared
+    challenge index list drives all rows. The gather and both sums have
+    shapes fixed by (poscnt, tau); secrets are touched only through public
+    window offsets.
     """
     if np.shape(index) != (tau + 1,):
         raise ValueError(f"index list must have {tau + 1} entries")
@@ -243,7 +243,6 @@ def r0_check(w, prod: np.ndarray, gamma2: int, bound: int) -> FusedR0:
     checked again. The product is returned as given, in its own lanes,
     not copied.
     """
-    w = np.asarray(w, dtype=np.int64)
     diff = w - prod
     worst = np.abs(diff, out=diff).argmax()
     ok = bool(diff.flat[worst] < bound)

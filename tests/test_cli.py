@@ -17,6 +17,15 @@ def run(argv):
     return cli.main(argv)
 
 
+def run_module(argv, stdin=b""):
+    """`python -m sparsedil` from the source tree, with no install."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "sparsedil", *argv],
+                          input=stdin, capture_output=True, env=env)
+
+
 def test_keygen_reproducible(tmp_path, capsys):
     for run_dir in ("a", "b"):
         d = tmp_path / run_dir
@@ -140,17 +149,18 @@ def test_sign_reads_stdin_message(tmp_path):
     rc = run(["keygen", "--level", "2", "--seed", SEED_HEX,
               "--pk", str(tmp_path / "pk"), "--sk", str(tmp_path / "sk")])
     assert rc == 0
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "sparsedil.cli", "sign", "--sk", str(tmp_path / "sk"),
-         "--in", "-", "--out", str(tmp_path / "sig")],
-        input=b"from stdin", capture_output=True, env=env)
+    proc = run_module(["sign", "--sk", str(tmp_path / "sk"), "--in", "-",
+                       "--out", str(tmp_path / "sig")], stdin=b"from stdin")
     assert proc.returncode == 0
     (tmp_path / "msg").write_bytes(b"from stdin")
     assert run(["verify", "--pk", str(tmp_path / "pk"), "--in", str(tmp_path / "msg"),
                 "--sig", str(tmp_path / "sig")]) == 0
+
+
+def test_package_runs_as_a_module():
+    proc = run_module(["analyze", "--eta", "1", "--tau", "2", "--bound", "1"])
+    assert proc.returncode == 0
+    assert "2/9" in proc.stdout.decode()
 
 
 def test_hex_mode_roundtrip(tmp_path):

@@ -1,6 +1,7 @@
 import hashlib
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 from sparsedil import sampling, sparse
@@ -121,6 +122,18 @@ def test_sample_in_ball_deterministic():
     c1 = sampling.sample_in_ball(bytes(32), 39)
     c2 = sampling.sample_in_ball(bytes(32), 39)
     assert np.array_equal(c1, c2)
+
+
+@pytest.mark.parametrize("tau", [0, N + 1])
+def test_sample_in_ball_refuses_weight_outside_ring(tau):
+    # tau = 0 would place a sign at c[256]; tau > 256 would never place one
+    with pytest.raises(ValueError, match="tau"):
+        sampling.sample_in_ball(bytes(32), tau)
+
+
+def test_sample_in_ball_weight_edges():
+    for tau in (1, N):
+        assert np.count_nonzero(sampling.sample_in_ball(bytes(32), tau)) == tau
 
 
 def test_sample_in_ball_encodes_cleanly():

@@ -231,8 +231,10 @@ def test_branchless_matches_indexed():
                 # a wrapped lane is off by 256 either way
                 assert np.all(np.isin(ring.center(want - got), (-256, 0, 256)))
         # the same kernel takes a (rows, 512) stack, row for row the one-row results
-        exts = np.stack([sparse.extend_secret(s, p.eta) for _, s in cases])
-        rows = np.stack([sparse.sparse_mul_branchless(idx, e, p.tau) for e in exts])
+        secrets = np.stack([s for _, s in cases])
+        exts = sparse.extend_secret(secrets, p.eta)
+        rows = np.stack([sparse.sparse_mul_branchless(idx, sparse.extend_secret(s, p.eta), p.tau)
+                         for s in secrets])
         assert np.array_equal(sparse.sparse_mul_branchless(idx, exts, p.tau), rows)
 
 
@@ -253,22 +255,23 @@ def test_branchless_every_window_offset():
 def test_window_view_of_non_contiguous_stack():
     rng = np.random.default_rng(9)
     ext = sparse.extend_secret(random_secret(rng, 2, (6, N)), 2)
-    view = sparse._window_view(ext[::2])
+    view = sparse._window_view(ext)
     # window-major: one (256, rows) block per window start
-    assert view.shape == (N + 1, N, 3)
-    assert np.array_equal(view, sparse._window_view(np.ascontiguousarray(ext[::2])))
-    assert np.array_equal(view[N - 5], ext[::2, N - 5:2 * N - 5].T)    # window of index 5
+    assert view.shape == (N + 1, N, 6)
+    assert np.array_equal(view[N - 5], ext[:, N - 5:2 * N - 5].T)    # window of index 5
     assert not view.flags.writeable
-    assert not sparse._window_view(ext).flags.writeable
-    # rows whose .T is C-contiguous are viewed in place; row-major rows pay one copy
-    assert np.shares_memory(sparse._window_view(ext), ext)
-    row_major = np.ascontiguousarray(ext)
-    assert not np.shares_memory(sparse._window_view(row_major), row_major)
+    # rows whose .T is C-contiguous are viewed in place; row-major and strided rows
+    # are refused, not copied
+    assert np.shares_memory(view, ext)
+    for rows in (np.ascontiguousarray(ext), ext[::2], ext[0]):
+        with pytest.raises(ValueError, match="window-major"):
+            sparse._window_view(rows)
     # a (2, 3) stack is viewed as its six rows, last axis first
-    stack = sparse._window_view(ext.reshape(2, 3, 2 * N))
+    ext = sparse.extend_secret(random_secret(rng, 2, (2, 3, N)), 2)
+    stack = sparse._window_view(ext)
     assert stack.shape == (N + 1, N, 6)
     assert np.array_equal(stack[N - 5].T.reshape(3, 2, N).transpose(1, 0, 2),
-                          ext.reshape(2, 3, 2 * N)[..., N - 5:2 * N - 5])
+                          ext[..., N - 5:2 * N - 5])
 
 
 # lanes and coefficient bound of each signing layout: secrets at levels 2 and 5,
@@ -284,19 +287,18 @@ def test_kernel_bytes_do_not_depend_on_memory_order(lanes, shape, seed):
     rng = np.random.default_rng(seed)
     c = random_challenge(rng, tau)
     idx = sparse.encode_challenge(c, tau)
-    s = rng.integers(-bound, bound + 1, shape + (N,)).astype(dtype)
-    row_major = np.concatenate((-s, s), axis=-1)
-    window_major = np.ascontiguousarray(row_major.T).T
+    s = rng.integers(-bound, bound + 1, shape + (N,))
+    ext = sparse.signing_layout(s, bound, tau)
+    prod = sparse.sparse_mul_branchless_vec(idx, ext, tau)
+    assert ext.dtype == prod.dtype == dtype and prod.shape == shape + (N,)
+    want = [sparse.sparse_mul_indexed(c, Poly(row % Q)).coeffs for row in s.reshape(-1, N)]
+    assert np.array_equal(lift(prod).reshape(-1, N), want)
+    # strided rows, and row-major stacks (one row is both orders), are refused
     strided = np.zeros(shape + (4 * N,), dtype)[..., ::2]
-    strided[...] = row_major
-    got = [sparse.sparse_mul_branchless_vec(idx, ext, tau)
-           for ext in (row_major, window_major, strided)]
-    for prod in got:
-        assert prod.shape == shape + (N,) and prod.dtype == dtype
-        assert prod.tobytes() == got[0].tobytes()
-    want = [sparse.sparse_mul_indexed(c, Poly(row.astype(np.int64) % Q)).coeffs
-            for row in s.reshape(-1, N)]
-    assert np.array_equal(lift(got[0]).reshape(-1, N), want)
+    strided[...] = ext
+    for rows in [strided] + ([np.ascontiguousarray(ext)] if shape else []):
+        with pytest.raises(ValueError, match="window-major"):
+            sparse.sparse_mul_branchless_vec(idx, rows, tau)
 
 
 def test_level3_wrap_is_byte_exact():
@@ -336,8 +338,8 @@ def test_gather_kernel_matches_swar_lanes():
         for _ in range(100):
             c = random_challenge(rng, p.tau)
             idx = sparse.encode_challenge(c, p.tau)
-            exts = np.stack([sparse.extend_secret(random_secret(rng, p.eta), p.eta)
-                             for _ in range(p.k)])
+            exts = sparse.extend_secret(np.stack([random_secret(rng, p.eta)
+                                                  for _ in range(p.k)]), p.eta)
             got = sparse.sparse_mul_branchless_vec(idx, exts, p.tau)
             assert got.dtype == np.int8
             assert np.array_equal(got, swar_product(idx, exts, p.tau))
@@ -348,8 +350,8 @@ def test_gather_kernel_matches_swar_lanes_on_level3_wrap():
     c = np.zeros(N, dtype=np.int8)
     c[:p.tau] = 1
     idx = sparse.encode_challenge(c, p.tau)
-    exts = np.stack([sparse.extend_secret(np.full(N, v, dtype=np.int8), p.eta)
-                     for v in (4, -4, 3)])
+    exts = sparse.extend_secret(np.stack([np.full(N, v, dtype=np.int8) for v in (4, -4, 3)]),
+                                p.eta)
     got = sparse.sparse_mul_branchless_vec(idx, exts, p.tau)
     want = swar_product(idx, exts, p.tau)
     assert np.array_equal(got, want)
@@ -364,9 +366,9 @@ def _setup_vectors(rng, level, m):
     c = random_challenge(rng, p.tau)
     idx = sparse.encode_challenge(c, p.tau)
     secrets = np.stack([random_secret(rng, p.eta) for _ in range(m)])
-    exts = np.stack([sparse.extend_secret(s, p.eta) for s in secrets])
-    cs = np.stack([sparse.sparse_mul_branchless(idx, e, p.tau).astype(np.int64)
-                   for e in exts])
+    exts = sparse.extend_secret(secrets, p.eta)
+    cs = np.stack([sparse.sparse_mul_branchless(idx, sparse.extend_secret(s, p.eta), p.tau)
+                   .astype(np.int64) for s in secrets])
     return p, c, idx, secrets, exts, cs
 
 
@@ -375,7 +377,7 @@ def test_fused_z_zero_secret():
     p = param_set(2)
     c = random_challenge(rng, p.tau)
     idx = sparse.encode_challenge(c, p.tau)
-    exts = np.zeros((p.l, 2 * N), dtype=np.int8)
+    exts = sparse.extend_secret(np.zeros((p.l, N), dtype=np.int8), p.eta)
     bound = p.gamma1 - p.beta
     y = rng.integers(-bound + 1, bound, (p.l, N))
     res = sparse.fused_z(idx, exts, y, bound)
@@ -401,7 +403,7 @@ def test_fused_r0_zero_secret():
     p = param_set(2)
     c = random_challenge(rng, p.tau)
     idx = sparse.encode_challenge(c, p.tau)
-    exts = np.zeros((p.k, 2 * N), dtype=np.int8)
+    exts = sparse.extend_secret(np.zeros((p.k, N), dtype=np.int8), p.eta)
     w = rng.integers(0, Q, (p.k, N))
     res = sparse.fused_r0(idx, exts, w, p.gamma2, p.gamma2 - p.beta)
     direct = not norm_inf_exceeds(decompose(w, p.alpha)[1], p.gamma2 - p.beta)
@@ -415,7 +417,7 @@ def test_fused_r0_constructed_boundary():
     p = param_set(2)
     c = random_challenge(rng, p.tau)
     idx = sparse.encode_challenge(c, p.tau)
-    exts = np.zeros((p.k, 2 * N), dtype=np.int8)
+    exts = sparse.extend_secret(np.zeros((p.k, N), dtype=np.int8), p.eta)
     w = np.zeros((p.k, N), dtype=np.int64)
     w[0, 0] = p.gamma2 - p.beta          # LowBits == gamma2 - beta exactly
     res = sparse.fused_r0(idx, exts, w, p.gamma2, p.gamma2 - p.beta)
@@ -452,3 +454,58 @@ def test_fused_paths_match_unfused_reference():
             assert resr.ok == ref_ok
             if resr.ok:
                 assert np.array_equal(resr.cs2, cs)
+
+
+# ---------------------------------------------------------------------------
+# refused input forms: the gather takes only the builders' rows and
+# encode_challenge's lists, and the builders only what a lane holds
+
+def _level2_rows(rng):
+    p = param_set(2)
+    idx = sparse.encode_challenge(random_challenge(rng, p.tau), p.tau)
+    return p, idx, sparse.extend_secret(random_secret(rng, p.eta, (p.l, N)), p.eta)
+
+
+def test_gather_refuses_plus_count_above_tau():
+    p, idx, exts = _level2_rows(np.random.default_rng(17))
+    idx[0] = p.tau + 1                   # every window would be read as +1
+    with pytest.raises(ValueError, match="count"):
+        sparse.sparse_mul_branchless_vec(idx, exts, p.tau)
+
+
+def test_gather_refuses_index_list_not_uint8():
+    p, idx, exts = _level2_rows(np.random.default_rng(18))
+    wide = idx.astype(np.int64)
+    wide[1] = 300                        # a uint8 cast would read window 44
+    with pytest.raises(ValueError, match="uint8"):
+        sparse.sparse_mul_branchless_vec(wide, exts, p.tau)
+
+
+def test_fused_checks_refuse_truncated_index_list():
+    p = param_set(2)
+    c = np.zeros(N, dtype=np.int8)
+    c[:20], c[20:p.tau] = 1, -1          # 20 +1 entries, more than the 9 left
+    idx = sparse.encode_challenge(c, p.tau)[:10]
+    rng = np.random.default_rng(19)
+    s = sparse.extend_secret(random_secret(rng, p.eta, (p.k, N)), p.eta)
+    with pytest.raises(ValueError, match="count"):
+        sparse.fused_z(idx, s[:p.l], np.zeros((p.l, N), np.int64), p.gamma1 - p.beta)
+    with pytest.raises(ValueError, match="count"):
+        sparse.fused_r0(idx, s, np.zeros((p.k, N), np.int64), p.gamma2, p.gamma2 - p.beta)
+
+
+def test_extend_secret_refuses_non_integer_secret():
+    with pytest.raises(ValueError, match="integer"):
+        sparse.extend_secret(np.full(N, 1.5), 2)
+
+
+def test_signing_layout_refuses_lanes_past_int32():
+    # tau * bound = 2^32: no lane holds the sums
+    with pytest.raises(ValueError, match="int32"):
+        sparse.signing_layout(np.full(N, 1 << 20), 1 << 20, 4096)
+
+
+def test_gather_refuses_row_major_rows():
+    p, idx, exts = _level2_rows(np.random.default_rng(20))
+    with pytest.raises(ValueError, match="window-major"):
+        sparse.sparse_mul_branchless_vec(idx, np.ascontiguousarray(exts), p.tau)
